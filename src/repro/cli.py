@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mining-timeout",
         type=float,
         default=None,
-        help="per-request mining deadline in seconds (requests over it get "
-        "a 503; requires --mining-workers > 1); default: no deadline",
+        help="per-request deadline in seconds on a request's SM + DM mining "
+        "(requests over it get a 503; requires --mining-workers > 1); "
+        "default: no deadline",
     )
     serve.add_argument(
         "--http-backend",

@@ -162,7 +162,10 @@ class ServerConfig:
             a fixed seed.
         mining_workers: worker count of the mining pool (threads or
             processes, per ``mining_backend``); 0 or 1 runs everything
-            inline.  Parallel results are bit-identical to serial ones
+            inline.  A thread pool runs each request's SM + DM pair as one
+            task.  The warm-up pool has ``mining_workers`` threads on the
+            process, sharded and fleet backends and is inline on the thread
+            backend.  Parallel results are bit-identical to serial ones
             (fixed per-task seeds, submission-ordered gathering).
         mining_shards: shard count K of the ``"sharded"`` backend — how many
             per-shard store segments an epoch is partitioned into (ignored
@@ -219,8 +222,9 @@ class ServerConfig:
         snapshot_on_compact: write an mmap-able snapshot file (and prune
             older logs/snapshots) at every compaction; ``False`` keeps the
             full log chain and replays it on restart.
-        mining_timeout_s: per-request deadline in seconds for gathering one
-            mining task from the worker pool; ``None`` (default) waits
+        mining_timeout_s: per-request mining deadline in seconds: how long
+            a request waits for its SM + DM (one task on the thread backend,
+            one gather per task on the others); ``None`` (default) waits
             forever.  Timed-out requests surface as 503s; the underlying
             task is not cancelled.  Only pools with ``mining_workers > 1``
             can time out — inline pools execute the task on the calling

@@ -86,13 +86,12 @@ class RatingMiner:
     ) -> Explanation:
         """Run Similarity Mining on a prepared slice.
 
-        ``candidates`` optionally injects a pre-enumerated candidate list
-        (the sharded backend merges one from per-shard partial cubes);
-        ``None`` enumerates from the slice as always.
+        ``candidates`` optionally injects a pre-enumerated candidate list;
+        ``None`` enumerates from the slice.
         """
-        return self._mine(
-            SimilarityProblem, "similarity", rating_slice, config, candidates
-        )
+        config = config or self.config
+        candidates = self._candidates(rating_slice, config, candidates)
+        return self._solve(SimilarityProblem, rating_slice, config, candidates)
 
     def mine_diversity(
         self,
@@ -105,19 +104,37 @@ class RatingMiner:
         ``candidates`` optionally injects a pre-enumerated candidate list,
         exactly as in :meth:`mine_similarity`.
         """
-        return self._mine(
-            DiversityProblem, "diversity", rating_slice, config, candidates
+        config = config or self.config
+        candidates = self._candidates(rating_slice, config, candidates)
+        return self._solve(DiversityProblem, rating_slice, config, candidates)
+
+    def mine_pair(
+        self,
+        rating_slice: RatingSlice,
+        config: Optional[MiningConfig] = None,
+        candidates: Optional[List] = None,
+    ) -> Tuple[Explanation, Explanation]:
+        """Run SM then DM over one candidate enumeration of a prepared slice.
+
+        The groups of ``R_I`` are built once (§2.3) and both solves read the
+        same :class:`~repro.core.groups.Group` objects, so DM reuses the
+        packed bitsets SM cached.  Each solve seeds its own generator from
+        ``config.seed``, so the pair is bit-identical to separate
+        :meth:`mine_similarity` and :meth:`mine_diversity` calls.
+        ``candidates`` optionally injects a pre-enumerated list (the sharded
+        backend merges one from per-shard partial cubes).
+        """
+        config = config or self.config
+        candidates = self._candidates(rating_slice, config, candidates)
+        return (
+            self._solve(SimilarityProblem, rating_slice, config, candidates),
+            self._solve(DiversityProblem, rating_slice, config, candidates),
         )
 
-    def _mine(
-        self,
-        problem_class,
-        task: str,
-        rating_slice: RatingSlice,
-        config: Optional[MiningConfig],
-        candidates: Optional[List] = None,
-    ) -> Explanation:
-        config = config or self.config
+    @staticmethod
+    def _candidates(
+        rating_slice: RatingSlice, config: MiningConfig, candidates: Optional[List]
+    ) -> List:
         if rating_slice.is_empty():
             raise EmptyRatingSetError("the item selection matches no rating tuples")
         if candidates is None:
@@ -127,6 +144,15 @@ class RatingMiner:
                 "no candidate group meets the support/description constraints; "
                 "lower min_group_support or relax the description limit"
             )
+        return candidates
+
+    def _solve(
+        self,
+        problem_class,
+        rating_slice: RatingSlice,
+        config: MiningConfig,
+        candidates: List,
+    ) -> Explanation:
         problem: MiningProblem = problem_class(rating_slice, candidates, config)
         solver = (
             self.solver
@@ -134,7 +160,7 @@ class RatingMiner:
             else RandomizedHillExploration.from_config(config)
         )
         result: SolveResult = solver.solve(problem)
-        return Explanation.from_solve_result(task, result, rating_slice)
+        return Explanation.from_solve_result(problem.task, result, rating_slice)
 
     # -- the one-call façade ---------------------------------------------------------
 
@@ -149,8 +175,9 @@ class RatingMiner:
         """Produce the SM + DM interpretations for an item selection.
 
         This is what the front-end's "Explain Ratings" button triggers: slice
-        the ratings, run both mining tasks, and package the result for the
-        visualization layer.
+        the ratings, mine both tasks over one candidate enumeration
+        (:meth:`mine_pair`), and package the result for the visualization
+        layer.
 
         Args:
             item_ids: the items selected by the query layer.
@@ -159,20 +186,21 @@ class RatingMiner:
             config: per-call override of the mining configuration.
             pool: optional :class:`~repro.server.pool.MiningWorkerPool`,
                 :class:`~repro.server.procpool.ProcessMiningPool` or
-                :class:`~repro.server.shardpool.ShardedMiningPool`; when it
-                is parallel, the two mining tasks run concurrently.  A
-                sharded pool mines the selection by scatter-gather over its
-                data shards and merges losslessly.  A process
-                pool receives the two tasks as spec tuples — its workers
-                re-slice the selection from the shared-memory snapshot of
-                this store's epoch and mine there; the query summary is still
-                assembled here, where the item catalogue lives.  Each task
-                seeds its own generator from ``config.seed``, so the result
-                is bit-identical to the serial path for a fixed seed.  Never
-                pass a thread pool whose workers may already be executing
-                this call (nested submission can exhaust the pool and
-                deadlock); process-pool nesting is safe — worker processes
-                never submit.
+                :class:`~repro.server.shardpool.ShardedMiningPool`.  A thread
+                pool receives the whole SM + DM pair as **one** task, so its
+                gather deadline bounds the request's mining.  A sharded pool
+                mines the selection by scatter-gather over its data shards
+                and merges losslessly.  A process pool receives the two
+                tasks as spec tuples — its workers re-slice the selection
+                from the shared-memory snapshot of this store's epoch and
+                mine there; the query summary is still assembled here, where
+                the item catalogue lives.  Each solve seeds its own generator
+                from ``config.seed``, so the result is bit-identical to the
+                inline path for a fixed seed.  Never pass a parallel thread
+                pool whose workers may already be executing this call
+                (nested submission can exhaust the pool and deadlock);
+                process-pool nesting is safe — worker processes never
+                submit.
         """
         config = config or self.config
         started_at = time.perf_counter()
@@ -190,14 +218,12 @@ class RatingMiner:
             similarity, diversity = pool.mine_pair(
                 self.store.epoch, list(item_ids), time_interval, config
             )
-        elif pool is not None and getattr(pool, "parallel", False):
-            similarity_future = pool.submit(self.mine_similarity, rating_slice, config)
-            diversity_future = pool.submit(self.mine_diversity, rating_slice, config)
-            similarity = pool.gather(similarity_future)
-            diversity = pool.gather(diversity_future)
+        elif pool is not None:
+            similarity, diversity = pool.gather(
+                pool.submit(self.mine_pair, rating_slice, config)
+            )
         else:
-            similarity = self.mine_similarity(rating_slice, config)
-            diversity = self.mine_diversity(rating_slice, config)
+            similarity, diversity = self.mine_pair(rating_slice, config)
         elapsed = time.perf_counter() - started_at
         query = QuerySummary.build(
             description or f"{len(items)} item(s)",

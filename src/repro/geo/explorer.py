@@ -421,9 +421,11 @@ class GeoExplorer:
         runs SM + DM through the integer-coded kernel with the geo anchor
         re-pointed at the city level (see :func:`region_mining_config`), so
         the interpretations describe the region's internal structure and stay
-        renderable one hierarchy level down.  The two mining tasks run
-        concurrently when ``pool`` is parallel; each seeds its own generator
-        from the config seed, so results are bit-identical to the serial path.
+        renderable one hierarchy level down.  SM and DM share one candidate
+        enumeration (:meth:`~repro.core.miner.RatingMiner.mine_pair`); a
+        thread ``pool`` runs the pair as one task under its deadline.  Each
+        solve seeds its own generator from the config seed, so results are
+        bit-identical to the inline path.
         """
         started_at = time.perf_counter()
         code = canonical_region(region)
@@ -465,18 +467,12 @@ class GeoExplorer:
                 region_config,
                 region=code,
             )
-        elif pool is not None and getattr(pool, "parallel", False):
-            similarity_future = pool.submit(
-                self.miner.mine_similarity, region_slice, region_config
+        elif pool is not None:
+            similarity, diversity = pool.gather(
+                pool.submit(self.miner.mine_pair, region_slice, region_config)
             )
-            diversity_future = pool.submit(
-                self.miner.mine_diversity, region_slice, region_config
-            )
-            similarity = pool.gather(similarity_future)
-            diversity = pool.gather(diversity_future)
         else:
-            similarity = self.miner.mine_similarity(region_slice, region_config)
-            diversity = self.miner.mine_diversity(region_slice, region_config)
+            similarity, diversity = self.miner.mine_pair(region_slice, region_config)
         stats = self._region_stats(code, region_slice, baseline)
         return GeoMiningResult(
             region=code,

@@ -123,10 +123,11 @@ class MapRat:
             single_flight=server.single_flight,
         )
         # Mining backend: the thread pool shares the store in-process (cheap,
-        # GIL-bound); the process pool exports each epoch's numpy parts into
-        # shared memory once and mines on worker processes (multi-core).
-        # Only the request pool gets the per-request deadline — timing out
-        # warm-up anchors would just leave the cache cold for no latency win.
+        # GIL-bound) and runs each request's SM + DM as one task; the process
+        # pool exports each epoch's numpy parts into shared memory once and
+        # mines on worker processes (multi-core).  Only the request pool gets
+        # the per-request deadline — timing out warm-up anchors would just
+        # leave the cache cold for no latency win.
         if server.mining_backend == "process":
             self.pool = ProcessMiningPool(
                 server.mining_workers, timeout_s=server.mining_timeout_s
@@ -161,8 +162,13 @@ class MapRat:
         # they occupied the request pool they could starve the very SM/DM
         # tasks that the live leader needs to finish (deadlock).  Request
         # tasks never wait on cache flights, so the split breaks the cycle.
+        # On the thread backend every anchor mines in-process under one GIL,
+        # so more warm threads only contend: the warm pool is inline.  The
+        # other backends run part of each anchor's mining in worker
+        # processes and keep ``mining_workers`` anchors in flight.
         self.warm_pool = MiningWorkerPool(
-            self.config.server.mining_workers, thread_name_prefix="maprat-warm"
+            1 if server.mining_backend == "thread" else server.mining_workers,
+            thread_name_prefix="maprat-warm",
         )
         geo = GeoExplorer(miner)
         self._serving = ServingState(
@@ -361,9 +367,9 @@ class MapRat:
         selections serve equivalent query traffic.  Item ids are canonicalised
         (sorted, de-duplicated) before mining as well as keying, so a request
         with repeated ids cannot poison the entry of the clean selection.
-        ``parallel=False`` keeps the SM/DM tasks off the worker pool —
-        required when this call itself runs on a pool worker (e.g. the
-        sharded warm-up).
+        ``parallel=False`` mines the SM + DM pair inline, off the request
+        pool — required when this call itself runs on a pool worker (e.g.
+        the warm-up).
         """
         mining_config = config or self.config.mining
         canonical_ids = sorted({int(item_id) for item_id in item_ids})
@@ -732,9 +738,10 @@ class MapRat:
     def warm_up(self, limit: Optional[int] = None, regions: Optional[int] = None) -> dict:
         """Pre-compute explanations for the most popular items and regions (§2.3).
 
-        Anchors shard across the dedicated warm pool (one task per item or
-        region, never the request pool — see ``__init__``); the inner SM/DM
-        tasks run serially on each worker so a saturated pool can never
+        Anchors run on the dedicated warm pool (one task per item or region,
+        never the request pool — see ``__init__``; inline on the thread
+        backend); each anchor mines its SM + DM in-process on that worker, or
+        on the process backend's workers, so a saturated pool can never
         deadlock on nested submissions.  ``regions`` additionally pre-mines
         the geo explanation of the most-rated item of each of the top-N
         states, pre-filling the ``geo_explain`` surface.
@@ -762,9 +769,9 @@ class MapRat:
     def _warm_explain(self, item_ids: List[int], description: str) -> MiningResult:
         """One warm-up anchor: cache-aware explain, inner SM/DM off the warm pool.
 
-        With the thread backend the inner tasks run serially on the warm
-        worker (submitting them back to a pool the anchor already occupies
-        could deadlock); with the process backend they scatter to the worker
+        With the thread backend the SM + DM pair mines inline on the warm
+        worker (submitting it back to a pool the anchor already occupies
+        could deadlock); with the process backend it scatters to the worker
         *processes* — a different pool — so warm anchors mine on every core.
         """
         return self.explain_items(item_ids, description, parallel=self._process_backend)

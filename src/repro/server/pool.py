@@ -1,11 +1,16 @@
-"""Mining worker pool: shard independent mining work across threads.
+"""Mining worker pool: run mining work on threads, under a deadline.
 
-The serving layer has three batch shapes that are embarrassingly parallel:
+The serving layer hands the pool two shapes of work:
 
-* independent requests arriving concurrently at the JSON API,
-* the two mining tasks (Similarity + Diversity) of one explain request,
+* one task per explain request: its Similarity + Diversity pair, solved
+  one after the other over one candidate enumeration
+  (:meth:`~repro.core.miner.RatingMiner.mine_pair`).  The request thread
+  gathers it under ``timeout_s``, so the deadline bounds the request's whole
+  mining;
 * the per-anchor loops of :class:`~repro.server.precompute.Precomputer`
-  (per-item aggregates, popular-item warm-up).
+  (per-item aggregates, popular-item warm-up) and the per-region fan-out of
+  :meth:`~repro.geo.explorer.GeoExplorer.explain_top_regions`, when a
+  parallel pool is handed in.
 
 :class:`MiningWorkerPool` wraps a ``ThreadPoolExecutor`` behind a small,
 deterministic API.  Determinism-under-parallelism is an invariant the
@@ -19,10 +24,10 @@ random streams per task (e.g. the serving benchmark's per-client request
 generators), :func:`split_seed` derives one from ``(base_seed, task_index)``
 alone — independent of worker count, chunking and completion order.
 
-Threads (not processes) are the right grain here: the mining kernel spends
-its time in numpy and large-integer bit operations, results are shared
-in-process through the single-flight cache, and the store is read-only after
-construction.
+Threads share the read-only store and the single-flight cache in-process,
+but the mining kernel holds the GIL for most of its time, so extra threads
+add no mining throughput: the thread backend's warm pool is inline, and
+multi-core mining is the process backend's job.
 """
 
 from __future__ import annotations

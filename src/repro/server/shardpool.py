@@ -486,12 +486,13 @@ class ShardedMiningPool:
         """Mine one selection's SM + DM via sharded scatter-gather.
 
         The façade entry point (same signature as the process pool's).  One
-        scatter round computes the merged candidate list — SM and DM share
-        it, exactly as the serial path enumerates the same candidates twice —
-        then both solvers run on the coordinator with their own fixed-seed
-        generators.  ``region`` carries the canonical state code for
-        within-region mining (``config`` is then the region-adapted
-        configuration, as with the process pool).
+        scatter round computes the merged candidate list, and
+        :meth:`~repro.core.miner.RatingMiner.mine_pair` solves SM then DM
+        over it on the coordinator, each with its own fixed-seed generator —
+        the same one-enumeration shape as the in-process paths.  ``region``
+        carries the canonical state code for within-region mining
+        (``config`` is then the region-adapted configuration, as with the
+        process pool).
         """
         ids = None if item_ids is None else tuple(int(i) for i in item_ids)
         interval = (
@@ -508,9 +509,7 @@ class ShardedMiningPool:
         from ..core.miner import RatingMiner
 
         miner = RatingMiner(store, config)
-        similarity = miner.mine_similarity(gslice, config, candidates=candidates)
-        diversity = miner.mine_diversity(gslice, config, candidates=candidates)
-        return similarity, diversity
+        return miner.mine_pair(gslice, config, candidates=candidates)
 
     # -- gathering --------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the RatingMiner façade (the Rating Mining module of §2.3)."""
 
+import numpy as np
 import pytest
 
 from repro.config import MiningConfig
@@ -71,6 +72,48 @@ class TestExplainItems:
         impossible = MiningConfig(min_group_support=100_000, min_coverage=0.1)
         with pytest.raises(MiningError):
             tiny_miner.explain_items(item_ids, config=impossible)
+
+
+class TestMinePair:
+    @staticmethod
+    def _payload(explanation):
+        payload = explanation.to_dict()
+        payload.pop("elapsed_seconds")  # wall clock: the one legitimate delta
+        return payload
+
+    def test_equals_separate_similarity_and_diversity(
+        self, tiny_miner, toy_story_slice
+    ):
+        similarity, diversity = tiny_miner.mine_pair(toy_story_slice)
+        assert (similarity.task, diversity.task) == ("similarity", "diversity")
+        assert self._payload(similarity) == self._payload(
+            tiny_miner.mine_similarity(toy_story_slice)
+        )
+        assert self._payload(diversity) == self._payload(
+            tiny_miner.mine_diversity(toy_story_slice)
+        )
+
+    def test_injected_candidates_skip_enumeration(
+        self, tiny_miner, toy_story_slice, toy_story_candidates, monkeypatch
+    ):
+        expected = [self._payload(e) for e in tiny_miner.mine_pair(toy_story_slice)]
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("injected candidates must not be re-enumerated")
+
+        monkeypatch.setattr("repro.core.miner.enumerate_candidates", no_enumeration)
+        paired = tiny_miner.mine_pair(
+            toy_story_slice, candidates=list(toy_story_candidates)
+        )
+        assert [self._payload(e) for e in paired] == expected
+
+    def test_empty_slice_and_no_candidates_raise(self, tiny_miner, toy_story_slice):
+        empty = toy_story_slice.restrict(np.zeros(len(toy_story_slice), dtype=bool))
+        with pytest.raises(EmptyRatingSetError):
+            tiny_miner.mine_pair(empty)
+        impossible = MiningConfig(min_group_support=100_000, min_coverage=0.1)
+        with pytest.raises(MiningError):
+            tiny_miner.mine_pair(toy_story_slice, impossible)
 
 
 class TestConstruction:

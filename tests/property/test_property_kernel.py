@@ -30,8 +30,10 @@ from repro.core.measures import covered_positions
 from repro.core.miner import RatingMiner
 from repro.core.problems import DiversityProblem, SimilarityProblem
 from repro.core.rhe import RandomizedHillExploration, SelectionState
+from repro.data.lattice import CuboidLattice
 from repro.data.model import Item, Rating, RatingDataset, Reviewer
 from repro.data.storage import RatingStore
+from repro.errors import MiningError
 from repro.server.pool import MiningWorkerPool
 
 ATTRIBUTES = ("gender", "age_group", "state")
@@ -43,7 +45,8 @@ VALUES: Dict[str, List[str]] = {
 
 
 @st.composite
-def rating_slices(draw, min_size=3, max_size=40):
+def rating_stores(draw, min_size=3, max_size=40):
+    """A store whose ratings all belong to item 1."""
     size = draw(st.integers(min_value=min_size, max_value=max_size))
     reviewers, ratings = [], []
     for index in range(size):
@@ -62,7 +65,13 @@ def rating_slices(draw, min_size=3, max_size=40):
         score = float(draw(st.integers(1, 5)))
         ratings.append(Rating(1, index + 1, score, timestamp=1_000 + index))
     dataset = RatingDataset(reviewers, [Item(1, "Movie")], ratings, validate=False)
-    return RatingStore(dataset, grouping_attributes=ATTRIBUTES).slice_for_items([1])
+    return RatingStore(dataset, grouping_attributes=ATTRIBUTES)
+
+
+def rating_slices(min_size=3, max_size=40):
+    return rating_stores(min_size, max_size).map(
+        lambda store: store.slice_for_items([1])
+    )
 
 
 @st.composite
@@ -270,6 +279,63 @@ def _explanation_fingerprint(explanation):
     )
 
 
+class _RecordingSolver(RandomizedHillExploration):
+    """RHE that keeps every :class:`SolveResult` it returns, in call order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.results = []
+
+    def solve(self, problem):
+        result = super().solve(problem)
+        self.results.append(result)
+        return result
+
+
+def _assert_pair_matches_separate(store, rating_slice, config):
+    """``mine_pair`` == ``mine_similarity`` + ``mine_diversity``, bit for bit.
+
+    Compares the solver results (groups, objective, iterations, restart
+    trace) and the explanations, serially and with the pair mined on a
+    parallel thread pool.
+    """
+    solver = _RecordingSolver.from_config(config)
+    miner = RatingMiner(store, config, solver=solver)
+    try:
+        separate = (
+            miner.mine_similarity(rating_slice),
+            miner.mine_diversity(rating_slice),
+        )
+    except MiningError:
+        with pytest.raises(MiningError):
+            miner.mine_pair(rating_slice)
+        return
+    if rating_slice.lattice_hint is not None:
+        # Enumerate the pair's candidates afresh, not from the lattice memo
+        # the separate calls filled.
+        rating_slice.lattice_hint.lattice.candidate_memo.clear()
+    paired = miner.mine_pair(rating_slice)
+    separate_results, paired_results = solver.results[:2], solver.results[2:]
+    assert len(paired_results) == 2
+    for left, right in zip(separate_results, paired_results):
+        assert [g.descriptor for g in left.groups] == [
+            g.descriptor for g in right.groups
+        ]
+        assert left.objective == right.objective
+        assert left.iterations == right.iterations
+        assert left.trace == right.trace
+        assert left.feasible == right.feasible
+    with MiningWorkerPool(4) as pool:
+        pooled = pool.gather(pool.submit(miner.mine_pair, rating_slice))
+    for reference, explanation, pooled_explanation in zip(separate, paired, pooled):
+        assert _explanation_fingerprint(explanation) == _explanation_fingerprint(
+            reference
+        )
+        assert _explanation_fingerprint(pooled_explanation) == _explanation_fingerprint(
+            reference
+        )
+
+
 class TestPoolParallelEquivalence:
     """Pool-parallel mining (workers>1) must be bit-identical to serial.
 
@@ -317,11 +383,21 @@ class TestPoolParallelEquivalence:
             payload["diversity"].pop("elapsed_seconds", None)
         assert pooled == inline
 
-    @given(rating_slices(min_size=6), mining_configs(), st.integers(0, 2**16))
+    @given(rating_stores(min_size=6), mining_configs(), st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
     def test_concurrent_sm_dm_solves_match_serial_on_random_slices(
-        self, rating_slice, config, seed
+        self, store, config, seed
     ):
+        rating_slice = store.slice_for_items([1])
+        # mine_pair's one shared enumeration == two separate enumerations, on
+        # the plain slice and on a whole-store slice whose candidates come
+        # out of the materialised cuboid lattice.
+        store.attach_lattice(CuboidLattice.build(store))
+        hinted = store.slice_all()
+        assert hinted.lattice_hint is not None
+        pair_config = config.with_overrides(seed=seed)
+        for target in (rating_slice, hinted):
+            _assert_pair_matches_separate(store, target, pair_config)
         _, candidates = _enumerate(rating_slice, config, True)
         if not candidates:
             return
