@@ -1,24 +1,26 @@
 #!/usr/bin/env python
 """Process-parallel mining: backend selection and multi-core throughput.
 
-Demonstrates ``ServerConfig.mining_backend``::
+Demonstrates ``ServerConfig.mining_backend``, which picks one of two
+backends::
 
     python examples/process_serving.py
 
 The same MapRat system is built twice — once on the default **thread**
-backend (GIL-bound: mining shards across threads but executes on one core)
-and once on the **process** backend, where each store epoch is exported once
-into shared memory and persistent worker processes attach it zero-copy and
-mine in true parallel.  A small closed-loop driver then explains a set of
+backend (GIL-bound: each request's SM + DM runs as one pool task under the
+mining deadline, on one core at a time) and once on the **process** backend,
+where each store epoch is exported once into shared memory and persistent
+worker processes attach it zero-copy and mine in true parallel.  A small closed-loop driver then explains a set of
 popular items cold (cache off) through both systems and reports throughput;
 finally one result is compared field-by-field to prove the backends
 bit-identical, and a live compaction shows the epoch hand-off (the old
 shared segment is retired only after in-flight work drains).
 
 Set ``MAPRAT_SCALE=tiny`` / ``MAPRAT_SMOKE=1`` for the test suite's quick
-run.  Expect the process backend to pull ahead of the thread backend on
-multi-core machines (≥2× at 4 cores on the benchmark workload — see
-``docs/BENCHMARKS.md``); on a single core it mostly demonstrates the wiring.
+run.  Expect the process backend to pull ahead of the thread backend only
+with several cores and concurrent clients (``benchmarks/bench_procs.py``
+measures it; see ``docs/BENCHMARKS.md``); on a single core it mostly
+demonstrates the wiring.
 """
 
 import json

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Serve the MapRat web front-end locally (the demo of §3).
 
-Starts the dependency-free HTTP server over a synthetic dataset, pre-computes
-the explanations of the most popular movies (the §2.3 latency techniques) and
-then serves:
+Starts the dependency-free asyncio HTTP server over a synthetic dataset,
+pre-computes the explanations of the most popular movies (the §2.3 latency
+techniques) and then serves:
 
 * ``/``            — landing page with a search box,
 * ``/explain?q=…`` — the Figure-2 explanation report,
@@ -27,7 +27,7 @@ import sys
 from urllib.request import urlopen
 
 from repro import MiningConfig, PipelineConfig, generate_dataset
-from repro.server.app import run_server
+from repro.server.asyncapi import run_server
 
 
 def main() -> None:

@@ -29,7 +29,7 @@ from .data.synthetic import SCALE_PRESETS, generate_dataset
 from .errors import MapRatError
 from .query.engine import TimeInterval
 from .server.api import MapRat
-from .server.app import run_server
+from .server.asyncapi import run_server
 from .viz.report import ExplanationReport
 from .viz.text import render_result_text
 
@@ -109,13 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--warm-up", type=int, default=0, help="pre-compute this many popular items")
     serve.add_argument(
         "--mining-backend",
-        choices=("thread", "process", "sharded", "fleet"),
+        choices=("thread", "process"),
         default="thread",
-        help="shard mining across threads (default; GIL-bound), across "
-        "worker processes attached to shared-memory store snapshots "
-        "(multi-core), or across data shards with a lossless "
-        "scatter-gather merge ('sharded'; per-shard segments, the path "
-        "to data one box cannot hold); all backends are bit-identical",
+        help="mine on a thread pool (default; GIL-bound, one SM + DM task "
+        "per request) or across worker processes attached to "
+        "shared-memory store snapshots (multi-core); both backends are "
+        "bit-identical",
     )
     serve.add_argument(
         "--mining-workers",
@@ -123,40 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="worker count of the mining pool (threads or processes, "
         "per --mining-backend); 0 or 1 runs mining inline",
-    )
-    serve.add_argument(
-        "--mining-shards",
-        type=int,
-        default=2,
-        help="shard count K of the sharded backend: each epoch is "
-        "partitioned into K per-shard store segments (ignored by the "
-        "other backends)",
-    )
-    serve.add_argument(
-        "--mining-shard-scheme",
-        choices=("reviewer", "region"),
-        default="reviewer",
-        help="row partitioning of the sharded backend: 'reviewer' (stable "
-        "reviewer-id hash, even spread) or 'region' (state hash; each "
-        "state's rows live wholly on one shard)",
-    )
-    serve.add_argument(
-        "--fleet-replicas",
-        type=int,
-        default=2,
-        help="replica factor R of the fleet backend: each shard is routed "
-        "to R distinct workers on the consistent-hash ring, so the "
-        "coordinator can fail over when a worker dies (ignored by the "
-        "other backends)",
-    )
-    serve.add_argument(
-        "--fleet-worker",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="address of an external fleet worker started with 'repro "
-        "fleet-worker'; repeatable; omitted = spawn --mining-workers "
-        "localhost worker subprocesses",
     )
     serve.add_argument(
         "--data-dir",
@@ -182,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: no deadline",
     )
     serve.add_argument(
-        "--http-backend",
-        choices=("sync", "async"),
-        default="async",
-        help="serving edge: 'async' (default; asyncio keep-alive tier, "
-        "mining offloaded to the pools) or 'sync' (threaded stdlib "
-        "http.server fallback); routes and JSON are identical",
-    )
-    serve.add_argument(
         "--max-inflight",
         type=int,
         default=64,
@@ -203,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KEY",
         help="require this API key (X-API-Key or Authorization: Bearer) on "
-        "the write endpoints ingest/ingest_batch/compact/snapshot; "
+        "the write endpoints ingest/ingest_batch/compact/snapshot/warmup; "
         "repeatable to accept several keys; omitted = open write path",
     )
     serve.add_argument(
@@ -232,31 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memory budget for the materialised lattice in MiB; when the "
         "estimate or the built lattice exceeds it the server falls back "
         "to plain enumeration (default: 512)",
-    )
-
-    fleet_worker = subparsers.add_parser(
-        "fleet-worker",
-        help="run one fleet mining worker (TCP server for the fleet backend)",
-    )
-    fleet_worker.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address of the worker's TCP listener",
-    )
-    fleet_worker.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port; 0 (default) picks a free port and reports it on "
-        "the READY line",
-    )
-    fleet_worker.add_argument(
-        "--parent-pid",
-        type=int,
-        default=None,
-        help="exit automatically when this process dies (set by a "
-        "coordinator spawning localhost workers, so a crashed "
-        "coordinator cannot leak orphans)",
     )
 
     return parser
@@ -396,16 +328,11 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         server=ServerConfig(
             mining_backend=args.mining_backend,
             mining_workers=args.mining_workers,
-            mining_shards=args.mining_shards,
-            mining_shard_scheme=args.mining_shard_scheme,
-            fleet_replicas=args.fleet_replicas,
-            fleet_workers=tuple(args.fleet_worker or ()),
             data_dir=None if args.data_dir is None else str(args.data_dir),
             wal_fsync=args.wal_fsync,
             mining_timeout_s=args.mining_timeout,
             host=args.host,
             port=args.port,
-            http_backend=args.http_backend,
             max_inflight=args.max_inflight,
             rate_limits=_parse_rate_limits(args.rate_limit),
             api_keys=tuple(args.api_key or ()),
@@ -424,21 +351,12 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_fleet_worker(args: argparse.Namespace, out) -> int:
-    from .server.fleet import serve_worker
-
-    return serve_worker(
-        host=args.host, port=args.port, parent_pid=args.parent_pid, out=out
-    )
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "explain": _cmd_explain,
     "explore": _cmd_explore,
     "timeline": _cmd_timeline,
     "serve": _cmd_serve,
-    "fleet-worker": _cmd_fleet_worker,
 }
 
 

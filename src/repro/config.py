@@ -150,49 +150,20 @@ class ServerConfig:
         cache_ttl_seconds: optional result expiry age (None: keep forever).
         single_flight: coalesce concurrent cache misses on one key into one
             computation (the anti-stampede guarantee of the serving layer).
-        mining_backend: ``"thread"`` (default) shards mining tasks across a
-            ``ThreadPoolExecutor``; ``"process"`` shards them across
-            persistent worker **processes** that attach the store's shared
-            memory export zero-copy (true multi-core parallelism — threads
-            are GIL-bound on this workload); ``"sharded"`` partitions the
-            *data* into ``mining_shards`` per-shard segments and mines each
-            selection by scatter-gather with a lossless coordinator merge
-            (the path to datasets one box cannot hold).  All execution
-            shapes (serial, thread, process, sharded) are bit-identical for
-            a fixed seed.
+        mining_backend: ``"thread"`` (default) runs each request's SM + DM
+            pair as one task on a ``ThreadPoolExecutor``; ``"process"``
+            shards mining tasks across persistent worker **processes** that
+            attach the store's shared memory export zero-copy (true
+            multi-core parallelism — threads are GIL-bound on this
+            workload).  Both execution shapes (and serial) are
+            bit-identical for a fixed seed.
         mining_workers: worker count of the mining pool (threads or
             processes, per ``mining_backend``); 0 or 1 runs everything
             inline.  A thread pool runs each request's SM + DM pair as one
             task.  The warm-up pool has ``mining_workers`` threads on the
-            process, sharded and fleet backends and is inline on the thread
-            backend.  Parallel results are bit-identical to serial ones
-            (fixed per-task seeds, submission-ordered gathering).
-        mining_shards: shard count K of the ``"sharded"`` backend — how many
-            per-shard store segments an epoch is partitioned into (ignored
-            by the other backends).  1 is the degenerate single-shard mode,
-            which still routes through the scatter-gather merge.
-        fleet_replicas: replica factor R of the ``"fleet"`` backend — how
-            many distinct workers each shard is routed to on the
-            consistent-hash ring.  R ≥ 2 lets the coordinator fail a task
-            over to another replica when a worker dies mid-request; ignored
-            by the other backends.
-        fleet_heartbeat_s: membership probe period (seconds) of the fleet
-            coordinator's heartbeat thread, which marks unresponsive
-            workers dead, revives returning ones and respawns exited
-            localhost workers.
-        fleet_io_timeout_s: per-connection socket deadline (seconds) of the
-            fleet transport — bounds connects, segment ships and single
-            task round-trips, so a stuck worker fails over (or surfaces a
-            typed timeout) instead of hanging a request.
-        fleet_workers: external fleet worker addresses (``"host:port"``
-            strings, started via ``repro fleet-worker``).  Non-empty
-            switches the fleet pool to connect-only mode; empty (default)
-            spawns ``mining_workers`` localhost worker subprocesses.
-        mining_shard_scheme: row-partitioning scheme of the ``"sharded"``
-            backend: ``"reviewer"`` (stable hash of the reviewer id — even
-            spread) or ``"region"`` (hash of the reviewer's state — each
-            state's rows live on one shard, so within-region mining touches
-            a single shard).
+            process backend and is inline on the thread backend.  Parallel
+            results are bit-identical to serial ones (fixed per-task seeds,
+            submission-ordered gathering).
         precompute_top_items: how many popular items the warm-up mines.
         precompute_top_regions: how many top regions (states by rating
             volume) the warm-up anchors: for each, the geo explanation of the
@@ -224,20 +195,15 @@ class ServerConfig:
             full log chain and replays it on restart.
         mining_timeout_s: per-request mining deadline in seconds: how long
             a request waits for its SM + DM (one task on the thread backend,
-            one gather per task on the others); ``None`` (default) waits
-            forever.  Timed-out requests surface as 503s; the underlying
-            task is not cancelled.  Only pools with ``mining_workers > 1``
-            can time out — inline pools execute the task on the calling
-            thread before the deadline is ever consulted.
+            one gather per task on the process backend); ``None`` (default)
+            waits forever.  Timed-out requests surface as 503s; the
+            underlying task is not cancelled.  Only pools with
+            ``mining_workers > 1`` can time out — inline pools execute the
+            task on the calling thread before the deadline is ever
+            consulted.
         host: bind address of the HTTP front-end.
         port: bind port of the HTTP front-end.
-        http_backend: serving edge used by ``run_server``/the CLI —
-            ``"sync"`` (threaded stdlib ``http.server``, one OS thread per
-            connection) or ``"async"`` (the asyncio production tier with
-            keep-alive and pipelining, mining offloaded to the pools via
-            ``run_in_executor``).  Both serve identical routes and
-            byte-identical JSON.
-        max_inflight: bound on concurrently admitted requests per edge; the
+        max_inflight: bound on concurrently admitted requests; the
             admission gate sheds excess load with 503 + ``Retry-After``
             instead of queueing without limit.  0 disables the gate.  The
             ops endpoints (``/health``/``/version``/``/metrics``) bypass it.
@@ -247,10 +213,11 @@ class ServerConfig:
             explicitly.  Breached limits answer 429 + ``Retry-After``.
             Empty (default) disables rate limiting.
         api_keys: accepted API keys for the write path (``ingest``,
-            ``ingest_batch``, ``compact``, ``snapshot``).  Empty (default)
-            leaves the write path open; non-empty demands a matching
-            ``X-API-Key`` (or ``Authorization: Bearer``) header → 401
-            otherwise.  Read endpoints are never gated.
+            ``ingest_batch``, ``compact``, ``snapshot``) and for ``warmup``,
+            which mines on demand.  Empty (default) leaves the write path
+            open; non-empty demands a matching ``X-API-Key`` (or
+            ``Authorization: Bearer``) header → 401 otherwise.  Read
+            endpoints are never gated.
         max_body_bytes: largest accepted request body; bigger declared
             bodies are rejected with 413 before a byte is read, so a
             hostile Content-Length cannot buffer unbounded data.  0
@@ -274,12 +241,6 @@ class ServerConfig:
     single_flight: bool = True
     mining_backend: str = "thread"
     mining_workers: int = 4
-    mining_shards: int = 2
-    mining_shard_scheme: str = "reviewer"
-    fleet_replicas: int = 2
-    fleet_heartbeat_s: float = 2.0
-    fleet_io_timeout_s: float = 30.0
-    fleet_workers: Sequence[str] = ()
     precompute_top_items: int = 50
     precompute_top_regions: int = 0
     warm_in_background: bool = True
@@ -292,7 +253,6 @@ class ServerConfig:
     mining_timeout_s: float | None = None
     host: str = "127.0.0.1"
     port: int = 8912
-    http_backend: str = "sync"
     max_inflight: int = 64
     rate_limits: Sequence[tuple] = ()
     api_keys: Sequence[str] = ()
@@ -311,31 +271,13 @@ class ServerConfig:
             raise ConstraintError("lattice_budget_mb must be at least 1")
         if self.cache_capacity < 1:
             raise ConstraintError("cache_capacity must be at least 1")
-        if self.mining_backend not in ("thread", "process", "sharded", "fleet"):
+        if self.mining_backend not in ("thread", "process"):
             raise ConstraintError(
-                "mining_backend must be 'thread', 'process', 'sharded' or "
-                f"'fleet', got {self.mining_backend!r}"
+                "mining_backend must be 'thread' or 'process', "
+                f"got {self.mining_backend!r}"
             )
         if self.mining_workers < 0:
             raise ConstraintError("mining_workers must be non-negative")
-        if self.mining_shards < 1:
-            raise ConstraintError("mining_shards must be at least 1")
-        if self.mining_shard_scheme not in ("reviewer", "region"):
-            raise ConstraintError(
-                "mining_shard_scheme must be 'reviewer' or 'region', "
-                f"got {self.mining_shard_scheme!r}"
-            )
-        if self.fleet_replicas < 1:
-            raise ConstraintError("fleet_replicas must be at least 1")
-        if self.fleet_heartbeat_s <= 0:
-            raise ConstraintError("fleet_heartbeat_s must be positive")
-        if self.fleet_io_timeout_s <= 0:
-            raise ConstraintError("fleet_io_timeout_s must be positive")
-        object.__setattr__(
-            self,
-            "fleet_workers",
-            tuple(str(address) for address in self.fleet_workers),
-        )
         if self.precompute_top_items < 0:
             raise ConstraintError("precompute_top_items must be non-negative")
         if self.precompute_top_regions < 0:
@@ -351,11 +293,6 @@ class ServerConfig:
             )
         if self.mining_timeout_s is not None and self.mining_timeout_s <= 0:
             raise ConstraintError("mining_timeout_s must be positive (or None)")
-        if self.http_backend not in ("sync", "async"):
-            raise ConstraintError(
-                "http_backend must be 'sync' or 'async', "
-                f"got {self.http_backend!r}"
-            )
         if self.max_inflight < 0:
             raise ConstraintError("max_inflight must be non-negative")
         if self.max_body_bytes < 0:

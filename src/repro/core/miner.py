@@ -79,40 +79,23 @@ class RatingMiner:
     # -- mining -------------------------------------------------------------------
 
     def mine_similarity(
-        self,
-        rating_slice: RatingSlice,
-        config: Optional[MiningConfig] = None,
-        candidates: Optional[List] = None,
+        self, rating_slice: RatingSlice, config: Optional[MiningConfig] = None
     ) -> Explanation:
-        """Run Similarity Mining on a prepared slice.
-
-        ``candidates`` optionally injects a pre-enumerated candidate list;
-        ``None`` enumerates from the slice.
-        """
+        """Run Similarity Mining on a prepared slice."""
         config = config or self.config
-        candidates = self._candidates(rating_slice, config, candidates)
+        candidates = self._candidates(rating_slice, config)
         return self._solve(SimilarityProblem, rating_slice, config, candidates)
 
     def mine_diversity(
-        self,
-        rating_slice: RatingSlice,
-        config: Optional[MiningConfig] = None,
-        candidates: Optional[List] = None,
+        self, rating_slice: RatingSlice, config: Optional[MiningConfig] = None
     ) -> Explanation:
-        """Run Diversity Mining on a prepared slice.
-
-        ``candidates`` optionally injects a pre-enumerated candidate list,
-        exactly as in :meth:`mine_similarity`.
-        """
+        """Run Diversity Mining on a prepared slice."""
         config = config or self.config
-        candidates = self._candidates(rating_slice, config, candidates)
+        candidates = self._candidates(rating_slice, config)
         return self._solve(DiversityProblem, rating_slice, config, candidates)
 
     def mine_pair(
-        self,
-        rating_slice: RatingSlice,
-        config: Optional[MiningConfig] = None,
-        candidates: Optional[List] = None,
+        self, rating_slice: RatingSlice, config: Optional[MiningConfig] = None
     ) -> Tuple[Explanation, Explanation]:
         """Run SM then DM over one candidate enumeration of a prepared slice.
 
@@ -121,24 +104,19 @@ class RatingMiner:
         packed bitsets SM cached.  Each solve seeds its own generator from
         ``config.seed``, so the pair is bit-identical to separate
         :meth:`mine_similarity` and :meth:`mine_diversity` calls.
-        ``candidates`` optionally injects a pre-enumerated list (the sharded
-        backend merges one from per-shard partial cubes).
         """
         config = config or self.config
-        candidates = self._candidates(rating_slice, config, candidates)
+        candidates = self._candidates(rating_slice, config)
         return (
             self._solve(SimilarityProblem, rating_slice, config, candidates),
             self._solve(DiversityProblem, rating_slice, config, candidates),
         )
 
     @staticmethod
-    def _candidates(
-        rating_slice: RatingSlice, config: MiningConfig, candidates: Optional[List]
-    ) -> List:
+    def _candidates(rating_slice: RatingSlice, config: MiningConfig) -> List:
         if rating_slice.is_empty():
             raise EmptyRatingSetError("the item selection matches no rating tuples")
-        if candidates is None:
-            candidates = enumerate_candidates(rating_slice, config)
+        candidates = enumerate_candidates(rating_slice, config)
         if not candidates:
             raise MiningError(
                 "no candidate group meets the support/description constraints; "
@@ -184,23 +162,20 @@ class RatingMiner:
             description: human-readable query description for reports.
             time_interval: optional ``(start, end)`` timestamp restriction.
             config: per-call override of the mining configuration.
-            pool: optional :class:`~repro.server.pool.MiningWorkerPool`,
-                :class:`~repro.server.procpool.ProcessMiningPool` or
-                :class:`~repro.server.shardpool.ShardedMiningPool`.  A thread
+            pool: optional :class:`~repro.server.pool.MiningWorkerPool` or
+                :class:`~repro.server.procpool.ProcessMiningPool`.  A thread
                 pool receives the whole SM + DM pair as **one** task, so its
-                gather deadline bounds the request's mining.  A sharded pool
-                mines the selection by scatter-gather over its data shards
-                and merges losslessly.  A process pool receives the two
-                tasks as spec tuples — its workers re-slice the selection
-                from the shared-memory snapshot of this store's epoch and
-                mine there; the query summary is still assembled here, where
-                the item catalogue lives.  Each solve seeds its own generator
-                from ``config.seed``, so the result is bit-identical to the
-                inline path for a fixed seed.  Never pass a parallel thread
-                pool whose workers may already be executing this call
-                (nested submission can exhaust the pool and deadlock);
-                process-pool nesting is safe — worker processes never
-                submit.
+                gather deadline bounds the request's mining.  A process pool
+                receives the two tasks as spec tuples — its workers re-slice
+                the selection from the shared-memory snapshot of this
+                store's epoch and mine there; the query summary is still
+                assembled here, where the item catalogue lives.  Each solve
+                seeds its own generator from ``config.seed``, so the result
+                is bit-identical to the inline path for a fixed seed.  Never
+                pass a parallel thread pool whose workers may already be
+                executing this call (nested submission can exhaust the pool
+                and deadlock); process-pool nesting is safe — worker
+                processes never submit.
         """
         config = config or self.config
         started_at = time.perf_counter()
@@ -210,11 +185,7 @@ class RatingMiner:
             for item_id in item_ids
             if self.store.dataset.has_item(item_id)
         ]
-        if pool is not None and getattr(pool, "kind", "thread") in (
-            "process",
-            "sharded",
-            "fleet",
-        ):
+        if pool is not None and getattr(pool, "kind", "thread") == "process":
             similarity, diversity = pool.mine_pair(
                 self.store.epoch, list(item_ids), time_interval, config
             )

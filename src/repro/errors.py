@@ -58,17 +58,6 @@ class RecoveryError(DurabilityError):
     record)."""
 
 
-class WireProtocolError(MapRatError):
-    """Raised when a fleet wire frame or message cannot be decoded.
-
-    Covers torn frames (the peer closed mid-frame), CRC32 checksum
-    mismatches, frames larger than the negotiated maximum and undecodable
-    message payloads.  The fleet coordinator treats it as a transport
-    failure of one worker — it fails over to a replica instead of failing
-    the request — and surfaces it directly when no replica remains.
-    """
-
-
 class GeoError(MapRatError):
     """Raised when a location (zip code, state, city) cannot be resolved."""
 

@@ -446,20 +446,12 @@ class GeoExplorer:
                 f"region {code!r} has no ratings for this selection"
             )
         region_config = region_mining_config(base_config)
-        if pool is not None and getattr(pool, "kind", "thread") in (
-            "process",
-            "sharded",
-            "fleet",
-        ):
+        if pool is not None and getattr(pool, "kind", "thread") == "process":
             # Process backend: the two region minings are shipped as spec
             # tuples; each worker rebuilds the identical region slice from
             # the epoch's shared-memory snapshot (same whole-store bitset
             # fast path, same mask path) and mines with the already-adapted
-            # region configuration.  The sharded backend scatters the
-            # region's cube enumeration over its data shards instead (with
-            # a region-partitioned scheme the region lives on one shard)
-            # and solves over the merged candidates — same results either
-            # way, bit for bit.
+            # region configuration — same results, bit for bit.
             similarity, diversity = pool.mine_pair(
                 self.store.epoch,
                 item_ids,
@@ -517,25 +509,6 @@ class GeoExplorer:
                 time_interval,
                 base_config,
             )
-        if pool is not None and getattr(pool, "kind", "thread") in (
-            "sharded",
-            "fleet",
-        ):
-            # Sharded backend: each region explanation is itself one
-            # scatter-gather round over the data shards, so the fan-out
-            # stays a simple loop here — the parallelism lives inside
-            # each explain_region call.
-            return [
-                self.explain_region(
-                    item_ids,
-                    region,
-                    description=description,
-                    time_interval=time_interval,
-                    config=config,
-                    pool=pool,
-                )
-                for region in regions
-            ]
 
         def explain_one(region: str) -> GeoMiningResult:
             return self.explain_region(

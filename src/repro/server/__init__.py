@@ -5,9 +5,10 @@ pre-computation and caching techniques, the latency of MapRat is minimized."
 
 * :mod:`repro.server.cache` — single-flight LRU (+ optional TTL) cache of
   mining results under canonical (item ids, interval, config) keys,
-* :mod:`repro.server.pool` — the mining worker pool sharding independent
-  mining tasks across threads with deterministic, submission-ordered results,
-* :mod:`repro.server.procpool` — the process-parallel backend: persistent
+* :mod:`repro.server.pool` — the thread mining backend (the default): runs
+  each request's SM + DM as one task under the mining deadline, with
+  deterministic, submission-ordered results,
+* :mod:`repro.server.procpool` — the process mining backend: persistent
   worker processes mining over shared-memory store snapshots (multi-core,
   epoch-aware, bit-identical to the thread and serial paths),
 * :mod:`repro.server.precompute` — warm-up of the cache for the most popular
@@ -15,13 +16,13 @@ pre-computation and caching techniques, the latency of MapRat is minimized."
 * :mod:`repro.server.api` — the :class:`MapRat` façade (query → mining →
   exploration → visualization, cache-aware) and the JSON endpoint handlers,
 * :mod:`repro.server.http_common` — the transport-agnostic request router
-  shared by both HTTP edges: routing, error mapping (catch-all JSON 500),
+  behind the HTTP edge: routing, error mapping (catch-all JSON 500),
   the numpy-aware encoder, body limits, API-key auth and rate limiting,
 * :mod:`repro.server.metrics` — edge instrumentation (token buckets, the
   admission gate, per-route counters) and the Prometheus ``/metrics`` page,
-* :mod:`repro.server.app` — the threaded stdlib HTTP edge (sync fallback),
-* :mod:`repro.server.asyncapi` — the asyncio production HTTP tier
-  (keep-alive, pipelined clients, mining offloaded via ``run_in_executor``).
+* :mod:`repro.server.asyncapi` — the asyncio HTTP edge (keep-alive,
+  pipelined clients, mining offloaded via ``run_in_executor``) and
+  :func:`run_server`.
 """
 
 from .cache import CacheStats, ResultCache, canonical_explain_key
@@ -38,8 +39,7 @@ from .http_common import (
     parse_content_length,
 )
 from .metrics import AdmissionGate, HttpMetrics, TokenBucket, render_metrics
-from .app import MapRatHttpServer, run_server
-from .asyncapi import AsyncMapRatHttpServer, run_async_server
+from .asyncapi import AsyncMapRatHttpServer, run_server
 
 __all__ = [
     "CacheStats",
@@ -64,8 +64,6 @@ __all__ = [
     "HttpMetrics",
     "TokenBucket",
     "render_metrics",
-    "MapRatHttpServer",
-    "run_server",
     "AsyncMapRatHttpServer",
-    "run_async_server",
+    "run_server",
 ]

@@ -50,8 +50,6 @@ from .cache import ResultCache, canonical_explain_key, canonical_geo_key
 from .pool import MiningWorkerPool
 from .precompute import CacheWarmer, ItemAggregate, Precomputer
 from .procpool import ProcessMiningPool
-from .fleet import FleetMiningPool
-from .shardpool import ShardedMiningPool
 from .recovery import DurabilityController, RecoveryReport
 
 
@@ -133,26 +131,6 @@ class MapRat:
                 server.mining_workers, timeout_s=server.mining_timeout_s
             )
             self.pool.publish(miner.store)
-        elif server.mining_backend == "sharded":
-            self.pool = ShardedMiningPool(
-                server.mining_workers,
-                shards=server.mining_shards,
-                scheme=server.mining_shard_scheme,
-                timeout_s=server.mining_timeout_s,
-            )
-            self.pool.publish(miner.store)
-        elif server.mining_backend == "fleet":
-            self.pool = FleetMiningPool(
-                server.mining_workers,
-                shards=server.mining_shards,
-                scheme=server.mining_shard_scheme,
-                replicas=server.fleet_replicas,
-                addresses=server.fleet_workers,
-                heartbeat_s=server.fleet_heartbeat_s,
-                io_timeout_s=server.fleet_io_timeout_s,
-                timeout_s=server.mining_timeout_s,
-            )
-            self.pool.publish(miner.store)
         else:
             self.pool = MiningWorkerPool(
                 server.mining_workers, timeout_s=server.mining_timeout_s
@@ -164,8 +142,8 @@ class MapRat:
         # tasks never wait on cache flights, so the split breaks the cycle.
         # On the thread backend every anchor mines in-process under one GIL,
         # so more warm threads only contend: the warm pool is inline.  The
-        # other backends run part of each anchor's mining in worker
-        # processes and keep ``mining_workers`` anchors in flight.
+        # process backend mines each anchor in worker processes and keeps
+        # ``mining_workers`` anchors in flight.
         self.warm_pool = MiningWorkerPool(
             1 if server.mining_backend == "thread" else server.mining_workers,
             thread_name_prefix="maprat-warm",
@@ -243,8 +221,8 @@ class MapRat:
 
     @property
     def _process_backend(self) -> bool:
-        """True for the epoch-publishing pools (process/sharded/fleet)."""
-        return self.config.server.mining_backend in ("process", "sharded", "fleet")
+        """True for the epoch-publishing process pool."""
+        return self.config.server.mining_backend == "process"
 
     @staticmethod
     def _retry_stale_epoch(attempt):
@@ -1304,7 +1282,7 @@ class JsonApi:
     def handle_suggest(self, params: Mapping[str, str]) -> dict:
         """``suggest``: title autocomplete (``prefix``, ``limit``)."""
         prefix = params.get("prefix", "")
-        limit = self._int_param(params, "limit", 10)
+        limit = self._int_param(params, "limit", 10, minimum=1)
         return {"titles": self.system.suggest_titles(prefix, limit=limit)}
 
     def handle_explain(self, params: Mapping[str, str]) -> dict:
@@ -1339,8 +1317,8 @@ class JsonApi:
 
     def handle_warmup(self, params: Mapping[str, str]) -> dict:
         """``warmup``: pre-mine popular items (``limit``) and top regions (``regions``)."""
-        limit = self._int_param(params, "limit", 10)
-        regions = self._int_param(params, "regions", 0)
+        limit = self._int_param(params, "limit", 10, minimum=0)
+        regions = self._int_param(params, "regions", 0, minimum=0)
         return self.system.warm_up(limit=limit, regions=regions)
 
     # -- geo endpoint handlers ----------------------------------------------------------
@@ -1526,18 +1504,30 @@ class JsonApi:
 
     @staticmethod
     def _int_param(
-        params: Mapping[str, str], name: str, default: Optional[int]
+        params: Mapping[str, str],
+        name: str,
+        default: Optional[int],
+        minimum: Optional[int] = None,
     ) -> Optional[int]:
-        """Integer query parameter with a clean 400 on malformed input."""
+        """Integer query parameter with a clean 400 on malformed input.
+
+        ``minimum`` rejects smaller values with a 400, so a negative count
+        never reaches a ``[:limit]`` slice and counts from the end.
+        """
         raw = params.get(name)
         if raw is None or not str(raw).strip():
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except (TypeError, ValueError) as exc:
             raise ServerError(
                 f"parameter {name!r} must be an integer", status=400
             ) from exc
+        if minimum is not None and value < minimum:
+            raise ServerError(
+                f"parameter {name!r} must be at least {minimum}", status=400
+            )
+        return value
 
     @staticmethod
     def _float_param(

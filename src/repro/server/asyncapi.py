@@ -1,9 +1,8 @@
-"""Asyncio production HTTP tier: keep-alive HTTP/1.1 over the shared router.
+"""The asyncio HTTP edge: keep-alive HTTP/1.1 over the shared router.
 
-The sync edge in :mod:`repro.server.app` dedicates one OS thread to every
-connection; fine for tests and demos, but a production front door serving
-many mostly-idle keep-alive connections wants an event loop.  This module is
-that tier, dependency-free on stdlib ``asyncio``:
+The demo exposes "a web based front-end that allows a user to enter one or
+more items" (§3.1).  This module serves those interactions from one event
+loop, dependency-free on stdlib ``asyncio``:
 
 * one :func:`asyncio.start_server` acceptor; each connection is a coroutine
   that parses HTTP/1.1 request framing (request line, headers,
@@ -28,10 +27,19 @@ that tier, dependency-free on stdlib ``asyncio``:
   dispatcher maps it to 503, the router serialises it — nothing async-side
   to add.
 
-:class:`AsyncMapRatHttpServer` mirrors the sync server's lifecycle API
-(``start``/``stop``/``url``/``serve_forever``/context manager): the event
-loop runs on a background thread, so tests and the CLI drive both backends
-identically.
+Routes (all owned by :class:`~repro.server.http_common.RequestRouter`):
+
+* ``GET /``                       — landing page with the dataset summary,
+* ``GET /explain?q=...``          — the Figure-2 HTML report,
+* ``GET /explore?q=...&task=...&group=N`` — the Figure-3 HTML report,
+* ``GET /choropleth?q=...&task=...`` — the Figure-2 map as a raw SVG image,
+* ``GET /api/<endpoint>?...`` (+ ``POST`` with a JSON body) — the JSON API,
+* ``GET /health`` / ``/version`` / ``/metrics`` — ops endpoints.
+
+:class:`AsyncMapRatHttpServer` runs its event loop on a background thread
+(``start``/``stop``/``url``/``serve_forever``/context manager), so tests,
+examples and the CLI drive it without blocking; :func:`run_server` builds a
+system over a dataset and starts serving it.
 """
 
 from __future__ import annotations
@@ -73,12 +81,9 @@ def _keep_alive(version: str, headers) -> bool:
 class AsyncMapRatHttpServer:
     """Background-thread asyncio HTTP server around one MapRat system.
 
-    Drop-in sibling of :class:`~repro.server.app.MapRatHttpServer` — same
-    constructor, same lifecycle, same routes (one shared
-    :class:`~repro.server.http_common.RequestRouter`) — but serving
-    keep-alive HTTP/1.1 from an event loop with executor offload, bounded
-    admission and the ops endpoints.  Select it with
-    ``ServerConfig(http_backend="async")`` or ``serve --http-backend async``.
+    Serves keep-alive HTTP/1.1 from an event loop with executor offload,
+    bounded admission and the ops endpoints; every route goes through one
+    :class:`~repro.server.http_common.RequestRouter`.
     """
 
     def __init__(
@@ -92,9 +97,7 @@ class AsyncMapRatHttpServer:
         self.host = host if host is not None else system.config.server.host
         self.port = port if port is not None else system.config.server.port
         self.owns_system = owns_system
-        self.router = RequestRouter(
-            system, JsonApi(system), system.config.server, edge="async"
-        )
+        self.router = RequestRouter(system, JsonApi(system), system.config.server)
         # Executor sizing: the admission gate bounds useful concurrency, so
         # match it (capped); an unlimited gate gets a sensible fixed pool —
         # excess admitted requests queue here, bounded by the gate above.
@@ -137,8 +140,8 @@ class AsyncMapRatHttpServer:
         """Stop accepting, drain connections, join the loop thread.
 
         Closes the MapRat system's worker pools when this server owns the
-        system (``run_server`` builds one per server), mirroring the sync
-        edge's contract.  Idempotent.
+        system (``run_server`` builds one per server); externally supplied
+        systems are left running for their owner.  Idempotent.
         """
         if self._loop is not None and self._stop_event is not None:
             try:
@@ -154,7 +157,7 @@ class AsyncMapRatHttpServer:
             self._executor.shutdown(wait=False)
             self._executor = None
         if self.owns_system:
-            self.system.close()  # idempotent; mirrors the sync edge's stop()
+            self.system.close()  # idempotent
 
     def __enter__(self) -> "AsyncMapRatHttpServer":
         self.start()
@@ -366,18 +369,26 @@ class AsyncMapRatHttpServer:
         await writer.drain()
 
 
-def run_async_server(
+def run_server(
     dataset: RatingDataset,
     config: Optional[PipelineConfig] = None,
     host: str = "127.0.0.1",
     port: int = 0,
     warm_up: int = 0,
 ) -> AsyncMapRatHttpServer:
-    """Build a MapRat system over ``dataset`` and serve it on the async tier.
+    """Build a MapRat system over ``dataset`` and start serving it.
 
-    Same contract as :func:`repro.server.app.run_server` with
-    ``http_backend="async"`` — that function is the usual entry point; this
-    one exists for callers that want the async class explicitly.
+    Args:
+        dataset: the collaborative rating dataset to serve.
+        config: pipeline configuration (defaults apply when omitted).
+        host: bind address.
+        port: bind port; 0 picks a free ephemeral port.
+        warm_up: when positive, pre-compute explanations for that many popular
+            items.  With ``server.warm_in_background`` (the default) the
+            warm-up runs on a background thread and the server starts serving
+            immediately — early requests for an item the warmer is currently
+            mining coalesce with it through the single-flight cache.  Set the
+            config flag to False to block until the cache is warm.
     """
     system = MapRat.for_dataset(dataset, config)
     server = AsyncMapRatHttpServer(system, host=host, port=port, owns_system=True)

@@ -1,13 +1,13 @@
-"""Transport-agnostic request routing shared by the sync and async HTTP edges.
+"""Transport-agnostic request routing behind the HTTP edge.
 
-Both front doors — the threaded stdlib server in :mod:`repro.server.app` and
-the asyncio production tier in :mod:`repro.server.asyncapi` — used to be one
-``BaseHTTPRequestHandler`` with four long-standing bugs: unexpected
+The front door — the asyncio server in :mod:`repro.server.asyncapi` — owns
+sockets and HTTP/1.1 framing; everything else lives here.  The original
+``BaseHTTPRequestHandler`` had four long-standing bugs: unexpected
 exceptions dropped the connection without a response, a malformed
 ``Content-Length`` header killed the socket instead of answering 400, numpy
 scalars anywhere in a payload crashed JSON serialisation, and the handler
 spoke HTTP/1.0 so every request paid a fresh TCP connection.  This module
-fixes them **once**, in one place both edges share:
+fixes them in one place:
 
 * :class:`HttpRequest` / :class:`HttpResponse` — the plain-data contract
   between a transport (which owns sockets and header parsing) and the
@@ -23,7 +23,7 @@ fixes them **once**, in one place both edges share:
   ever terminate without an HTTP response.
 
 The router calls :meth:`~repro.server.api.JsonApi.dispatch` unchanged, so
-the golden corpus replays byte-identically through either edge.
+the golden corpus replays byte-identically over the wire.
 """
 
 from __future__ import annotations
@@ -48,9 +48,15 @@ from .metrics import AdmissionGate, HttpMetrics, TokenBucket, render_metrics
 
 logger = logging.getLogger("repro.server.http")
 
-#: Endpoints that mutate or persist state; API-key auth (when configured)
-#: applies to exactly these.
-WRITE_ENDPOINTS = frozenset({"ingest", "ingest_batch", "compact", "snapshot"})
+#: Endpoints that mutate or persist state, or mine on demand (``warmup``);
+#: API-key auth (when configured) applies to exactly these.
+WRITE_ENDPOINTS = frozenset(
+    {"ingest", "ingest_batch", "compact", "snapshot", "warmup"}
+)
+
+#: Label of the serving edge, reported as ``http_backend`` by ``/version``
+#: and as the ``edge`` label of ``/metrics``.
+EDGE = "async"
 
 #: Routes answered without touching the admission gate or the executor —
 #: the system must stay observable under the very overload the gate sheds.
@@ -212,16 +218,15 @@ def _json_response(status: int, payload, **kwargs) -> HttpResponse:
 
 
 class RequestRouter:
-    """The one request-routing / error-mapping core behind both HTTP edges.
+    """The one request-routing / error-mapping core behind the HTTP edge.
 
-    A transport parses the request line, headers and body off its socket,
-    builds an :class:`HttpRequest` and calls :meth:`respond` (sync edge) or
-    the :meth:`ops_response` → admission → :meth:`handle` split (async edge,
-    which must shed load *before* queueing work onto its executor).  The
-    router owns everything else: HTML and JSON routing, the ops endpoints,
-    auth, rate limiting, admission accounting, metrics, JSON encoding and
-    the error mapping — including the catch-all that guarantees every
-    request gets *some* HTTP response.
+    The transport parses the request line, headers and body off its socket,
+    builds an :class:`HttpRequest` and runs the :meth:`ops_response` →
+    admission → :meth:`handle` split (it must shed load *before* queueing
+    work onto its executor).  The router owns everything else: HTML and
+    JSON routing, the ops endpoints, auth, rate limiting, admission
+    accounting, metrics, JSON encoding and the error mapping — including
+    the catch-all that guarantees every request gets *some* HTTP response.
 
     Args:
         system: the :class:`~repro.server.api.MapRat` façade to serve.
@@ -230,15 +235,12 @@ class RequestRouter:
         config: the :class:`~repro.config.ServerConfig` supplying
             ``max_body_bytes``, ``max_inflight``, ``rate_limits`` and
             ``api_keys``.
-        edge: label of the owning transport (``"sync"``/``"async"``),
-            reported by ``/version`` and ``/metrics``.
     """
 
-    def __init__(self, system, api, config, edge: str = "sync") -> None:
+    def __init__(self, system, api, config) -> None:
         self.system = system
         self.api = api
         self.config = config
-        self.edge = edge
         self.metrics = HttpMetrics()
         self.admission = AdmissionGate(config.max_inflight)
         self.max_body_bytes = config.max_body_bytes
@@ -252,24 +254,11 @@ class RequestRouter:
 
     # -- transport-facing entry points ------------------------------------------------
 
-    def respond(self, request: HttpRequest) -> HttpResponse:
-        """Full pipeline for transports that run each request on its own
-        thread: ops fast path, admission gate, then :meth:`handle`."""
-        ops = self.ops_response(request)
-        if ops is not None:
-            return ops
-        if not self.admission.try_acquire():
-            return self.overloaded_response(request)
-        try:
-            return self.handle(request)
-        finally:
-            self.admission.release()
-
     def ops_response(self, request: HttpRequest) -> Optional[HttpResponse]:
         """Answer ``/health``/``/version``/``/metrics`` or return ``None``.
 
-        Ops routes bypass the admission gate and (on the async edge) the
-        executor: they must answer even when the gate is shedding load.
+        Ops routes bypass the admission gate and the executor: they must
+        answer even when the gate is shedding load.
         """
         path = urlparse(request.target).path
         if path not in OPS_PATHS:
@@ -293,14 +282,14 @@ class RequestRouter:
                     "version": __version__,
                     "paper": PAPER,
                     "python": platform.python_version(),
-                    "http_backend": self.edge,
+                    "http_backend": EDGE,
                     "mining_backend": self.config.mining_backend,
                 },
             )
         else:  # /metrics
             response = HttpResponse(
                 status=200,
-                body=render_metrics(self.system, self.metrics, self.edge).encode(
+                body=render_metrics(self.system, self.metrics, EDGE).encode(
                     "utf-8"
                 ),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
@@ -338,7 +327,7 @@ class RequestRouter:
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Route one admitted request; **always** returns a response.
 
-        The error mapping both edges rely on, in order: ``ServerError``
+        The error mapping, in order: ``ServerError``
         keeps its status, any other :class:`~repro.errors.MapRatError` is a
         400, and *anything else* — the bug class that used to print a
         traceback into the server log and drop the TCP connection — becomes

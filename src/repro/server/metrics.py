@@ -5,7 +5,7 @@ hits/misses/coalesced stampedes (:class:`~repro.server.cache.CacheStats`),
 pool task counts, live-store ingest/compaction totals — but none of them were
 scrapable.  This module adds the missing edge-side instrumentation and one
 renderer that folds *all* of it into the Prometheus text exposition format
-served by ``GET /metrics`` on both HTTP backends:
+served by ``GET /metrics`` on the HTTP edge:
 
 * :class:`HttpMetrics` — thread-safe per-route request/status/latency
   counters plus rate-limit and load-shed totals,
@@ -215,7 +215,7 @@ def render_metrics(system, http_metrics: HttpMetrics, edge: str) -> str:
     * the live store: epoch, rows, buffered appends, ingest/compaction
       totals.
 
-    ``edge`` labels which backend produced the page (``sync``/``async``).
+    ``edge`` labels the serving edge that produced the page.
     """
     cache = system.cache.stats
     pool = system.pool.to_dict()
@@ -304,55 +304,6 @@ def render_metrics(system, http_metrics: HttpMetrics, edge: str) -> str:
     _metric(lines, "maprat_pool_workers", "gauge",
             "Configured worker count of the request mining pool.")
     lines.append("maprat_pool_workers %d" % pool.get("workers", 0))
-
-    if pool_backend == "fleet":
-        members = pool.get("members", ())
-        _metric(lines, "maprat_fleet_replicas", "gauge",
-                "Replica factor R of the fleet backend.")
-        lines.append("maprat_fleet_replicas %d" % pool.get("replicas", 0))
-        _metric(lines, "maprat_fleet_workers_alive", "gauge",
-                "Fleet workers currently on the consistent-hash ring.")
-        lines.append(
-            "maprat_fleet_workers_alive %d"
-            % sum(1 for member in members if member.get("alive"))
-        )
-        _metric(lines, "maprat_fleet_worker_tasks_total", "counter",
-                "Task round-trips completed per fleet worker.")
-        for member in members:
-            lines.append(
-                'maprat_fleet_worker_tasks_total{worker="%s"} %d'
-                % (_escape_label(str(member.get("name", ""))),
-                   counter("fleet_worker_tasks:%s" % member.get("name"),
-                           member.get("tasks", 0)))
-            )
-        _metric(lines, "maprat_fleet_worker_failures_total", "counter",
-                "Transport failures attributed per fleet worker.")
-        for member in members:
-            lines.append(
-                'maprat_fleet_worker_failures_total{worker="%s"} %d'
-                % (_escape_label(str(member.get("name", ""))),
-                   counter("fleet_worker_failures:%s" % member.get("name"),
-                           member.get("failures", 0)))
-            )
-        _metric(lines, "maprat_fleet_failovers_total", "counter",
-                "Tasks retried on a replica after a worker fault.")
-        lines.append(
-            "maprat_fleet_failovers_total %d"
-            % counter("fleet_failovers", pool.get("failovers", 0))
-        )
-        _metric(lines, "maprat_fleet_heartbeat_failures_total", "counter",
-                "Heartbeat probes that found a worker unresponsive.")
-        lines.append(
-            "maprat_fleet_heartbeat_failures_total %d"
-            % counter("fleet_heartbeat_failures",
-                      pool.get("heartbeat_failures", 0))
-        )
-        _metric(lines, "maprat_fleet_bytes_shipped_total", "counter",
-                "Packed segment bytes shipped to fleet workers.")
-        lines.append(
-            "maprat_fleet_bytes_shipped_total %d"
-            % counter("fleet_bytes_shipped", pool.get("bytes_shipped", 0))
-        )
 
     _metric(lines, "maprat_store_epoch", "gauge",
             "Current serving epoch (bumped by compactions).")

@@ -93,20 +93,6 @@ class TestMinePair:
             tiny_miner.mine_diversity(toy_story_slice)
         )
 
-    def test_injected_candidates_skip_enumeration(
-        self, tiny_miner, toy_story_slice, toy_story_candidates, monkeypatch
-    ):
-        expected = [self._payload(e) for e in tiny_miner.mine_pair(toy_story_slice)]
-
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("injected candidates must not be re-enumerated")
-
-        monkeypatch.setattr("repro.core.miner.enumerate_candidates", no_enumeration)
-        paired = tiny_miner.mine_pair(
-            toy_story_slice, candidates=list(toy_story_candidates)
-        )
-        assert [self._payload(e) for e in paired] == expected
-
     def test_empty_slice_and_no_candidates_raise(self, tiny_miner, toy_story_slice):
         empty = toy_story_slice.restrict(np.zeros(len(toy_story_slice), dtype=bool))
         with pytest.raises(EmptyRatingSetError):

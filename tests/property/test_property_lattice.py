@@ -22,8 +22,8 @@ same (DFS pre-)order, same member positions, same sizes and averages.
 ``EnumerationStats.explored``/``pruned_by_support`` are intentionally *not*
 compared — the lattice path counts cells, the DFS counts tree nodes.
 
-A second class proves the equivalence end to end through every mining
-backend: ``thread``, ``process`` and ``sharded`` systems answer ``explain``
+A second class proves the equivalence end to end through both mining
+backends: ``thread`` and ``process`` systems answer ``explain``
 and ``geo_explain`` with identical (volatile-stripped) payloads whether the
 lattice is on or off.
 """
@@ -268,12 +268,11 @@ def payload_bundle(system: MapRat) -> dict:
 
 
 class TestBackendDifferential:
-    """Every mining backend serves identical payloads with the lattice on."""
+    """Both mining backends serve identical payloads with the lattice on."""
 
     @pytest.mark.parametrize("backend,workers", [
         ("thread", 2),
         ("process", 2),
-        ("sharded", 2),
     ])
     def test_backend_payloads_identical(
         self, tiny_dataset, mining_config, backend, workers

@@ -251,7 +251,21 @@ class TestJsonApi:
             api.dispatch("explain", {"q": 'title:"No Such Movie"'})
         assert excinfo.value.status == 400
 
-    def test_bad_year_parameter_is_a_400(self, api):
+    @pytest.mark.parametrize(
+        "endpoint,params",
+        [
+            ("explain", {"q": "Toy", "start_year": "not-a-year"}),
+            ("suggest", {"prefix": "T", "limit": "-1"}),
+            ("suggest", {"prefix": "T", "limit": "0"}),
+            ("warmup", {"limit": "-1"}),
+            ("warmup", {"limit": "0", "regions": "-1"}),
+        ],
+    )
+    def test_bad_integer_parameter_is_a_400(self, api, endpoint, params):
         with pytest.raises(ServerError) as excinfo:
-            api.dispatch("explain", {"q": "Toy", "start_year": "not-a-year"})
+            api.dispatch(endpoint, params)
         assert excinfo.value.status == 400
+
+    def test_count_parameters_accept_their_minimum(self, api):
+        assert len(api.dispatch("suggest", {"prefix": "T", "limit": "1"})["titles"]) == 1
+        assert api.dispatch("warmup", {"limit": "0", "regions": "0"})["results_precomputed"] == 0

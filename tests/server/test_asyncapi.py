@@ -1,11 +1,11 @@
-"""Behaviour tests of the asyncio production tier.
+"""Behaviour tests of the asyncio HTTP edge.
 
-The cross-edge contract (routing, error mapping, the four bug fixes) is
-covered by ``test_http_edge.py``, which runs against both backends.  This
-module covers what only the async tier does: HTTP/1.1 pipelining, framing
-limits enforced on the event loop, load shedding before the executor hop,
-API-key auth and rate limiting over real sockets, lifecycle edge cases, and
-keep-alive clients staying healthy while a compaction swaps the epoch
+The front-door contract (routing, error mapping, the four bug fixes) is
+covered by ``test_http_edge.py``.  This module covers the HTML pages and
+JSON routes end to end, HTTP/1.1 pipelining, framing limits enforced on the
+event loop, load shedding before the executor hop, API-key auth and rate
+limiting over real sockets, the server lifecycle (``run_server`` included),
+and keep-alive clients staying healthy while a compaction swaps the epoch
 under them.
 """
 
@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.config import PipelineConfig, ServerConfig
 from repro.server.api import MapRat
-from repro.server.asyncapi import AsyncMapRatHttpServer
+from repro.server.asyncapi import AsyncMapRatHttpServer, run_server
 
 from test_http_edge import RawClient
 
@@ -49,6 +51,70 @@ def secured_server(tiny_dataset, mining_config):
 
 def _json(body: bytes):
     return json.loads(body.decode("utf-8"))
+
+
+def _get(server, path):
+    with urllib.request.urlopen(f"{server.url}{path}", timeout=30) as response:
+        return response.status, response.read().decode("utf-8")
+
+
+class TestHtmlPages:
+    def test_landing_page_shows_the_dataset_summary(self, server):
+        status, body = _get(server, "/")
+        assert status == 200
+        assert "MapRat" in body
+        assert "Explain Ratings" in body
+
+    def test_explain_page_renders_the_report(self, server):
+        status, body = _get(server, "/explain?q=title%3A%22Toy%20Story%22")
+        assert status == 200
+        assert "Similarity Mining" in body
+        assert "<svg" in body
+
+    def test_explore_page_renders_the_group_view(self, server):
+        status, body = _get(
+            server, "/explore?q=title%3A%22Toy%20Story%22&task=similarity&group=0"
+        )
+        assert status == 200
+        assert "Rating distribution" in body
+
+    def test_missing_query_parameter_is_a_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server, "/explain")
+        assert excinfo.value.code == 400
+
+    def test_unknown_path_is_a_404(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server, "/definitely/not/here")
+        assert excinfo.value.code == 404
+
+
+class TestJsonEndpoints:
+    def test_summary(self, server):
+        status, body = _get(server, "/api/summary")
+        assert status == 200
+        assert json.loads(body)["ratings"] > 0
+
+    def test_explain(self, server):
+        status, body = _get(server, "/api/explain?q=Toy%20Story")
+        payload = json.loads(body)
+        assert status == 200
+        assert payload["similarity"]["groups"]
+
+    def test_suggest(self, server):
+        status, body = _get(server, "/api/suggest?prefix=Toy")
+        assert "Toy Story" in json.loads(body)["titles"]
+
+    def test_error_payload_is_json(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server, "/api/explain")
+        assert excinfo.value.code == 400
+        assert "error" in json.loads(excinfo.value.read().decode("utf-8"))
+
+    def test_unknown_endpoint(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server, "/api/nothing")
+        assert excinfo.value.code == 404
 
 
 class TestPipelining:
@@ -140,6 +206,14 @@ class TestLoadShedding:
             status, _, _ = client.request("GET", "/api/summary")
             assert status == 200
 
+    def test_admission_is_released_after_each_request(self, secured_server):
+        gate = secured_server.router.admission
+        with RawClient(secured_server) as client:
+            for _ in range(3):
+                status, _, _ = client.request("GET", "/api/summary")
+                assert status == 200
+        assert gate.inflight == 0
+
 
 class TestAuthOverSockets:
     def test_write_without_key_is_a_401(self, secured_server):
@@ -184,6 +258,19 @@ class TestRateLimitOverSockets:
 
 
 class TestLifecycle:
+    def test_run_server_binds_an_ephemeral_port_and_stops(
+        self, tiny_dataset, mining_config
+    ):
+        server = run_server(
+            tiny_dataset, PipelineConfig(mining=mining_config), port=0, warm_up=0
+        )
+        try:
+            status, _ = _get(server, "/api/summary")
+            assert status == 200
+            assert server.port != 0
+        finally:
+            server.stop()
+
     def test_stop_is_idempotent_and_restartable_state_is_clean(
         self, tiny_dataset, mining_config
     ):

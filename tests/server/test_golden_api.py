@@ -14,14 +14,16 @@ before comparison so the suite is stable across machines and replay order;
 everything else — group selections, objectives, coverages, histograms, error
 payloads — is compared exactly.
 
-The suite is also the **backend differential**: setting
-``MAPRAT_MINING_BACKEND=process`` (the dedicated CI lane does) replays the
-same corpus through the process-parallel mining backend against the *same*
-golden files, proving the shared-memory worker path byte-identical to the
-thread path.  Likewise, setting ``MAPRAT_GOLDEN_DATA_DIR=1`` (the durability
-CI lane) gives every replayed system a temporary data directory, proving
-that WAL-backed ingest and recovery-enabled startup leave every public
-response byte-identical to the in-memory path.  The durability endpoints
+The suite is also the **backend differential**: the frozen-store and
+ingestion corpora replay twice, once on the lane's backend and once on the
+other one (:data:`OTHER_BACKEND`), against the *same* golden files, so every
+run proves the shared-memory worker path byte-identical to the thread path.
+Setting ``MAPRAT_MINING_BACKEND=process`` (the dedicated CI lane does) swaps
+the two, running the durability corpus on the process backend as well.
+Likewise, setting ``MAPRAT_GOLDEN_DATA_DIR=1`` (the durability CI lane)
+gives every replayed system a temporary data directory, proving that
+WAL-backed ingest and recovery-enabled startup leave every public response
+byte-identical to the in-memory path.  The durability endpoints
 themselves (``snapshot``/``recovery_info``) replay against a dedicated
 durable system through :data:`DURABLE_CORPUS`.
 """
@@ -42,15 +44,14 @@ from repro.server.api import JsonApi, MapRat
 #: overrides it); golden files are backend-independent by construction.
 BACKEND = os.environ.get("MAPRAT_MINING_BACKEND", "thread")
 
-#: Worker count for the replayed systems (the fleet lane pins 2 localhost
-#: workers; every backend is bit-identical at any count, so the golden
-#: files never depend on it).
-WORKERS = int(os.environ.get("MAPRAT_MINING_WORKERS", "4"))
-
 #: When truthy, the ``api``/``ingest_api`` systems get a temporary data
 #: directory — the durability differential lane.  Golden files must not
 #: change: durability is a recovery guarantee, never a response change.
 GOLDEN_DATA_DIR = os.environ.get("MAPRAT_GOLDEN_DATA_DIR", "") not in ("", "0")
+
+#: The backend the differential classes replay on: whichever one the lane
+#: does not use, so each run covers both.
+OTHER_BACKEND = "thread" if BACKEND == "process" else "process"
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -322,7 +323,6 @@ def api(tiny_dataset, mining_config, tmp_path_factory):
         mining=mining_config,
         server=ServerConfig(
             mining_backend=BACKEND,
-            mining_workers=WORKERS,
             data_dir=_maybe_data_dir(tmp_path_factory, "golden-frozen"),
         ),
     )
@@ -332,7 +332,22 @@ def api(tiny_dataset, mining_config, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def ingest_api(tiny_dataset, mining_config, tmp_path_factory):
+def other_api(tiny_dataset, mining_config, tmp_path_factory):
+    """The frozen-store system again, on :data:`OTHER_BACKEND`."""
+    config = PipelineConfig(
+        mining=mining_config,
+        server=ServerConfig(
+            mining_backend=OTHER_BACKEND,
+            mining_workers=2,
+            data_dir=_maybe_data_dir(tmp_path_factory, "golden-frozen-other"),
+        ),
+    )
+    system = MapRat.for_dataset(tiny_dataset, config)
+    yield JsonApi(system)
+    system.close()
+
+
+def _ingest_system(tiny_dataset, mining_config, backend, data_dir, **server) -> MapRat:
     """A dedicated mutable system for the ingestion corpus.
 
     ``auto_compact_threshold=4`` makes the batch entry of the corpus trigger
@@ -344,12 +359,35 @@ def ingest_api(tiny_dataset, mining_config, tmp_path_factory):
         server=ServerConfig(
             auto_compact_threshold=4,
             ingest_batch_size=8,
-            mining_backend=BACKEND,
-            mining_workers=WORKERS,
-            data_dir=_maybe_data_dir(tmp_path_factory, "golden-ingest"),
+            mining_backend=backend,
+            data_dir=data_dir,
+            **server,
         ),
     )
-    system = MapRat.for_dataset(tiny_dataset, config)
+    return MapRat.for_dataset(tiny_dataset, config)
+
+
+@pytest.fixture(scope="module")
+def ingest_api(tiny_dataset, mining_config, tmp_path_factory):
+    system = _ingest_system(
+        tiny_dataset,
+        mining_config,
+        BACKEND,
+        _maybe_data_dir(tmp_path_factory, "golden-ingest"),
+    )
+    yield JsonApi(system)
+    system.close()
+
+
+@pytest.fixture(scope="module")
+def other_ingest_api(tiny_dataset, mining_config, tmp_path_factory):
+    system = _ingest_system(
+        tiny_dataset,
+        mining_config,
+        OTHER_BACKEND,
+        _maybe_data_dir(tmp_path_factory, "golden-ingest-other"),
+        mining_workers=2,
+    )
     yield JsonApi(system)
     system.close()
 
@@ -361,7 +399,6 @@ def durable_api(tiny_dataset, mining_config, tmp_path_factory):
         mining=mining_config,
         server=ServerConfig(
             mining_backend=BACKEND,
-            mining_workers=WORKERS,
             data_dir=str(tmp_path_factory.mktemp("golden-durable")),
         ),
     )
@@ -378,11 +415,15 @@ def replay(api, endpoint, params):
         return {"error": str(exc), "status": exc.status}
 
 
-def assert_matches_golden(request, name, payload):
-    """Compare one normalised payload against its checked-in golden file."""
+def assert_matches_golden(request, name, payload, update=True):
+    """Compare one normalised payload against its checked-in golden file.
+
+    ``update=False`` compares even under ``--update-golden``: the
+    other-backend replays check the files the lane's replays just wrote.
+    """
     payload = json.loads(json.dumps(payload))
     golden_path = GOLDEN_DIR / f"{name}.json"
-    if request.config.getoption("--update-golden"):
+    if update and request.config.getoption("--update-golden"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
@@ -431,6 +472,44 @@ class TestGoldenIngestRequests:
     def test_response_matches_golden(self, ingest_api, request, name, endpoint, params):
         assert_matches_golden(
             request, name, normalize(replay(ingest_api, endpoint, params))
+        )
+
+
+class TestGoldenRequestsOnOtherBackend:
+    """The frozen-store corpus through :data:`OTHER_BACKEND`: same goldens."""
+
+    @pytest.mark.parametrize(
+        "name,endpoint,params", CORPUS, ids=[name for name, _, _ in CORPUS]
+    )
+    def test_response_matches_golden(self, other_api, request, name, endpoint, params):
+        assert_matches_golden(
+            request,
+            name,
+            normalize(replay(other_api, endpoint, params)),
+            update=False,
+        )
+
+
+class TestGoldenIngestRequestsOnOtherBackend:
+    """The ingestion corpus through :data:`OTHER_BACKEND`, in corpus order.
+
+    On the process backend this drives the epoch-1 compaction through the
+    publish → swap → retire protocol of the shared-memory exports.
+    """
+
+    @pytest.mark.parametrize(
+        "name,endpoint,params",
+        INGEST_CORPUS,
+        ids=[name for name, _, _ in INGEST_CORPUS],
+    )
+    def test_response_matches_golden(
+        self, other_ingest_api, request, name, endpoint, params
+    ):
+        assert_matches_golden(
+            request,
+            name,
+            normalize(replay(other_ingest_api, endpoint, params)),
+            update=False,
         )
 
 

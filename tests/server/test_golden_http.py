@@ -1,17 +1,12 @@
-"""Golden-corpus replay over real sockets: the HTTP edges change nothing.
+"""Golden-corpus replay over real sockets: the HTTP edge changes nothing.
 
 Replays the exact corpora of ``test_golden_api.py`` through a **running HTTP
 server** — request line, headers, JSON bodies, keep-alive sockets — and
-compares against the *same* golden files with the same normalisation.  Both
-edges reuse ``JsonApi.dispatch`` unchanged, so every payload must come back
+compares against the *same* golden files with the same normalisation.  The
+edge reuses ``JsonApi.dispatch`` unchanged, so every payload must come back
 byte-identical whether it was computed in-process or across a TCP connection.
-
-The replayed edge defaults to the asyncio tier and follows
-``MAPRAT_HTTP_BACKEND`` (the CI golden-over-HTTP lane pins it), mirroring how
-``MAPRAT_MINING_BACKEND`` selects the mining backend differential:
-
-    MAPRAT_HTTP_BACKEND=async pytest tests/server/test_golden_http.py
-    MAPRAT_HTTP_BACKEND=sync  pytest tests/server/test_golden_http.py
+``MAPRAT_MINING_BACKEND`` selects the mining backend as it does for the
+in-process replay.
 
 The read-only corpus replays as GET requests with query strings; the
 ingestion corpus replays as POST requests with JSON bodies (the realistic
@@ -25,20 +20,17 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 from urllib.parse import urlencode
 
 import pytest
 
 from repro.config import PipelineConfig, ServerConfig
 from repro.server.api import MapRat
-from repro.server.app import MapRatHttpServer
 from repro.server.asyncapi import AsyncMapRatHttpServer
 from repro.server.http_common import WRITE_ENDPOINTS
 
 from test_golden_api import (
     BACKEND,
-    WORKERS,
     CORPUS,
     DURABLE_CORPUS,
     INGEST_CORPUS,
@@ -46,14 +38,9 @@ from test_golden_api import (
     normalize,
 )
 
-#: Which edge replays the corpus ("async" unless the CI lane overrides it).
-HTTP_BACKEND = os.environ.get("MAPRAT_HTTP_BACKEND", "async")
-
-EDGES = {"sync": MapRatHttpServer, "async": AsyncMapRatHttpServer}
-
 
 def _serve(system):
-    server = EDGES[HTTP_BACKEND](system, host="127.0.0.1", port=0, owns_system=True)
+    server = AsyncMapRatHttpServer(system, host="127.0.0.1", port=0, owns_system=True)
     server.start()
     return server
 
@@ -63,7 +50,7 @@ def frozen_server(tiny_dataset, mining_config):
     """HTTP server over the same system config as the in-process ``api``."""
     config = PipelineConfig(
         mining=mining_config,
-        server=ServerConfig(mining_backend=BACKEND, mining_workers=WORKERS),
+        server=ServerConfig(mining_backend=BACKEND),
     )
     server = _serve(MapRat.for_dataset(tiny_dataset, config))
     yield server
@@ -79,7 +66,6 @@ def ingest_server(tiny_dataset, mining_config):
             auto_compact_threshold=4,
             ingest_batch_size=8,
             mining_backend=BACKEND,
-            mining_workers=WORKERS,
         ),
     )
     server = _serve(MapRat.for_dataset(tiny_dataset, config))
@@ -94,7 +80,6 @@ def durable_server(tiny_dataset, mining_config, tmp_path_factory):
         mining=mining_config,
         server=ServerConfig(
             mining_backend=BACKEND,
-            mining_workers=WORKERS,
             data_dir=str(tmp_path_factory.mktemp("golden-http-durable")),
         ),
     )
@@ -202,35 +187,3 @@ class TestGoldenDurableOverHttp:
         else:
             payload = replay_get(durable_conn, endpoint, params)
         assert_matches_golden(request, name, normalize(payload))
-
-
-class TestEdgeParity:
-    """Spot-check that sync and async answer byte-identical JSON bodies."""
-
-    def test_both_edges_serialise_identically(self, tiny_system):
-        samples = [
-            "/api/summary",
-            "/api/explain?" + urlencode({"q": 'title:"Toy Story"'}),
-            "/api/geo_summary",
-            "/api/suggest?prefix=Toy",
-        ]
-        bodies = {}
-        for edge, cls in sorted(EDGES.items()):
-            with cls(tiny_system, host="127.0.0.1", port=0) as server:
-                conn = http.client.HTTPConnection(
-                    server.host, server.port, timeout=60
-                )
-                try:
-                    for target in samples:
-                        conn.request("GET", target)
-                        response = conn.getresponse()
-                        assert response.status == 200
-                        bodies.setdefault(target, {})[edge] = response.read()
-                finally:
-                    conn.close()
-        for target, by_edge in bodies.items():
-            # elapsed_seconds and cache counters differ run-to-run; compare
-            # with the golden normalisation, byte-identical otherwise.
-            sync_payload = normalize(json.loads(by_edge["sync"]))
-            async_payload = normalize(json.loads(by_edge["async"]))
-            assert sync_payload == async_payload, target

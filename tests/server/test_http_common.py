@@ -1,6 +1,6 @@
 """Unit tests of the shared HTTP plumbing (no sockets involved).
 
-Covers the pieces both edges build on: the numpy-aware JSON encoder, the
+Covers the pieces the HTTP edge builds on: the numpy-aware JSON encoder, the
 Content-Length validator, the token bucket, the admission gate, the HTTP
 metrics counters and the Prometheus renderer, plus the router-level
 behaviours (catch-all 500, API-key auth, rate limiting) driven directly
@@ -221,12 +221,12 @@ class TestRenderMetrics:
     def test_scrape_exposes_edge_cache_pool_and_store_counters(self, tiny_system):
         metrics = HttpMetrics()
         metrics.observe("GET", "summary", 200, 0.001)
-        page = render_metrics(tiny_system, metrics, edge="sync")
-        assert 'maprat_http_requests_total{method="GET",route="summary",status="200",edge="sync"} 1' in page
+        page = render_metrics(tiny_system, metrics, edge="async")
+        assert 'maprat_http_requests_total{method="GET",route="summary",status="200",edge="async"} 1' in page
         assert "maprat_cache_hits_total" in page
         assert "maprat_pool_workers" in page
         assert "maprat_store_epoch 0" in page
-        assert 'maprat_edge_info{edge="sync"} 1' in page
+        assert 'maprat_edge_info{edge="async"} 1' in page
 
     def test_every_sample_line_is_well_formed(self, tiny_system):
         page = render_metrics(tiny_system, HttpMetrics(), edge="async")
@@ -312,11 +312,11 @@ class TestMonotonicCounterCarry:
         metrics = HttpMetrics()
         fresh_system.explain('title:"Toy Story"')
         fresh_system.explain('title:"Toy Story"')  # one miss + one hit on the cache
-        before = _counter_samples(render_metrics(fresh_system, metrics, edge="sync"))
+        before = _counter_samples(render_metrics(fresh_system, metrics, edge="async"))
         reviewer = next(fresh_system.dataset.reviewers())
         fresh_system.ingest(1, reviewer.reviewer_id, 5.0, timestamp=99_999_999)
         fresh_system.compact(rewarm=False)
-        after = _counter_samples(render_metrics(fresh_system, metrics, edge="sync"))
+        after = _counter_samples(render_metrics(fresh_system, metrics, edge="async"))
         assert before and set(before) <= set(after)
         for series, value in before.items():
             assert after[series] >= value, series
@@ -326,12 +326,12 @@ class TestMonotonicCounterCarry:
 
         system = _StubSystem()
         metrics = HttpMetrics()
-        before = _counter_samples(render_metrics(system, metrics, edge="sync"))
+        before = _counter_samples(render_metrics(system, metrics, edge="async"))
         # Simulate a compaction rebuilding every stats object from zero.
         system.cache = _StubCache(CacheStats())
         system.pool = _StubPool(submitted=0)
         system.live = _StubLive(accepted=0)
-        after = _counter_samples(render_metrics(system, metrics, edge="sync"))
+        after = _counter_samples(render_metrics(system, metrics, edge="async"))
         for series in (
             "maprat_cache_hits_total",
             "maprat_cache_misses_total",
@@ -345,7 +345,6 @@ class TestMonotonicCounterCarry:
 class TestServerConfigHttpFields:
     def test_defaults(self):
         config = ServerConfig()
-        assert config.http_backend == "sync"
         assert config.max_inflight == 64
         assert config.rate_limits == ()
         assert config.api_keys == ()
@@ -358,8 +357,6 @@ class TestServerConfigHttpFields:
         assert from_mapping.rate_limits == from_pairs.rate_limits
 
     def test_invalid_values_are_rejected(self):
-        with pytest.raises(ConstraintError):
-            ServerConfig(http_backend="twisted")
         with pytest.raises(ConstraintError):
             ServerConfig(max_inflight=-1)
         with pytest.raises(ConstraintError):
@@ -375,7 +372,7 @@ class TestServerConfigHttpFields:
 
 def _router(system, **server_kwargs):
     config = ServerConfig(**server_kwargs)
-    return RequestRouter(system, JsonApi(system), config, edge="sync")
+    return RequestRouter(system, JsonApi(system), config)
 
 
 def _body(response):
@@ -434,18 +431,27 @@ class TestRequestRouterGuard:
 
 
 class TestRequestRouterAuth:
-    def test_write_endpoints_demand_a_key_when_configured(self, tiny_system):
+    @pytest.mark.parametrize(
+        "method,target",
+        [
+            ("POST", "/api/compact"),
+            ("GET", "/api/compact"),
+            ("GET", "/api/warmup?limit=0"),
+            ("POST", "/api/warmup?limit=0"),
+        ],
+    )
+    def test_write_endpoints_demand_a_key_when_configured(
+        self, tiny_system, method, target
+    ):
         router = _router(tiny_system, api_keys=("sekrit",))
-        denied = router.handle(HttpRequest("POST", "/api/compact"))
+        denied = router.handle(HttpRequest(method, target))
         assert denied.status == 401
         with_key = router.handle(
-            HttpRequest("POST", "/api/compact", headers={"x-api-key": "sekrit"})
+            HttpRequest(method, target, headers={"x-api-key": "sekrit"})
         )
         assert with_key.status == 200
         bearer = router.handle(
-            HttpRequest(
-                "POST", "/api/compact", headers={"authorization": "Bearer sekrit"}
-            )
+            HttpRequest(method, target, headers={"authorization": "Bearer sekrit"})
         )
         assert bearer.status == 200
 
@@ -490,11 +496,12 @@ class TestRequestRouterRateLimit:
 
 
 class TestRequestRouterAdmission:
-    def test_respond_sheds_load_over_the_inflight_limit(self, tiny_system):
+    def test_overloaded_response_is_a_503_with_retry_after(self, tiny_system):
         router = _router(tiny_system, max_inflight=1)
         assert router.admission.try_acquire()  # occupy the only slot
         try:
-            response = router.respond(HttpRequest("GET", "/api/summary"))
+            assert not router.admission.try_acquire()
+            response = router.overloaded_response(HttpRequest("GET", "/api/summary"))
             assert response.status == 503
             assert dict(response.headers)["Retry-After"] == "1"
             assert router.metrics.snapshot()["load_shed_total"] == 1
@@ -506,21 +513,16 @@ class TestRequestRouterAdmission:
         assert router.admission.try_acquire()
         try:
             for path in ("/health", "/version", "/metrics"):
-                assert router.respond(HttpRequest("GET", path)).status == 200
+                assert router.ops_response(HttpRequest("GET", path)).status == 200
+            assert router.ops_response(HttpRequest("GET", "/api/summary")) is None
         finally:
             router.admission.release()
-
-    def test_admission_is_released_after_each_request(self, tiny_system):
-        router = _router(tiny_system, max_inflight=1)
-        for _ in range(3):
-            assert router.respond(HttpRequest("GET", "/api/summary")).status == 200
-        assert router.admission.inflight == 0
 
 
 class TestOpsResponses:
     def test_health_reports_epoch_rows_and_inflight(self, tiny_system):
         router = _router(tiny_system)
-        payload = _body(router.respond(HttpRequest("GET", "/health")))
+        payload = _body(router.ops_response(HttpRequest("GET", "/health")))
         assert payload["status"] == "ok"
         assert payload["epoch"] == 0
         assert payload["rows"] > 0
@@ -528,7 +530,7 @@ class TestOpsResponses:
 
     def test_version_names_both_backends(self, tiny_system):
         router = _router(tiny_system)
-        payload = _body(router.respond(HttpRequest("GET", "/version")))
-        assert payload["http_backend"] == "sync"
+        payload = _body(router.ops_response(HttpRequest("GET", "/version")))
+        assert payload["http_backend"] == "async"
         assert payload["mining_backend"] == "thread"
         assert payload["version"]

@@ -1,4 +1,4 @@
-"""Live-socket regression suite for both HTTP edges (sync and async).
+"""Live-socket regression suite for the HTTP edge.
 
 Every test runs over a real TCP connection with hand-written HTTP/1.1, so the
 four historic front-door bugs are exercised exactly the way a client saw them:
@@ -8,10 +8,10 @@ four historic front-door bugs are exercised exactly the way a client saw them:
    ``JsonApi.dispatch``),
 2. a malformed ``Content-Length`` header killed the socket — now a 400 (and a
    hostile length over the body limit is a 413, rejected before any read),
-3. the sync edge spoke HTTP/1.0 — both edges now keep connections alive and
-   serve multiple requests per socket,
-4. numpy scalars/arrays in a payload crashed serialisation — both edges now
-   use the shared numpy-aware encoder.
+3. the original handler spoke HTTP/1.0 — the edge now keeps connections
+   alive and serves multiple requests per socket,
+4. numpy scalars/arrays in a payload crashed serialisation — the edge now
+   uses the shared numpy-aware encoder.
 
 Plus the malformed-HTTP suite: non-dict JSON bodies, invalid JSON, unknown
 paths/endpoints, repeated query parameters, unsupported methods.
@@ -25,16 +25,12 @@ import socket
 import numpy as np
 import pytest
 
-from repro.server.app import MapRatHttpServer
 from repro.server.asyncapi import AsyncMapRatHttpServer
 
-EDGES = {"sync": MapRatHttpServer, "async": AsyncMapRatHttpServer}
 
-
-@pytest.fixture(scope="module", params=sorted(EDGES), ids=sorted(EDGES))
-def server(request, tiny_system):
-    """One running server per edge; the whole suite runs against both."""
-    with EDGES[request.param](tiny_system, host="127.0.0.1", port=0) as running:
+@pytest.fixture(scope="module")
+def server(tiny_system):
+    with AsyncMapRatHttpServer(tiny_system, host="127.0.0.1", port=0) as running:
         yield running
 
 
@@ -177,7 +173,7 @@ class TestBugMalformedContentLength:
 
 
 class TestBugKeepAlive:
-    """Bug 3: the sync edge spoke HTTP/1.0 — one TCP connection per request."""
+    """Bug 3: the original handler spoke HTTP/1.0 — one TCP connection per request."""
 
     def test_connection_reuse_across_sequential_requests(self, server):
         with RawClient(server) as client:
@@ -295,7 +291,7 @@ class TestOpsEndpointsOverSockets:
             assert _json(body)["status"] == "ok"
             status, _, body = client.request("GET", "/version")
             assert status == 200
-            assert _json(body)["http_backend"] in ("sync", "async")
+            assert _json(body)["http_backend"] == "async"
             status, headers, body = client.request("GET", "/metrics")
             assert status == 200
             assert headers["content-type"].startswith("text/plain")

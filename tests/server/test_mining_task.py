@@ -116,7 +116,7 @@ class TestDeadlineBoundsThePair:
     ):
         finished = threading.Event()
 
-        def overrunning_pair(self, rating_slice, config=None, candidates=None):
+        def overrunning_pair(self, rating_slice, config=None):
             time.sleep(TestDeadlineBoundsThePair.HALF_S)  # "SM"
             time.sleep(TestDeadlineBoundsThePair.HALF_S)  # "DM"
             finished.set()

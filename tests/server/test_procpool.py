@@ -3,8 +3,10 @@
 The contract under test (ISSUE 5): the process backend is **bit-identical**
 to the serial and thread paths on the same selections; compactions publish a
 new shared-memory epoch and retire the superseded one only after its
-in-flight tasks drain (no stale-epoch reads, monotone epochs); and closing
-the system reclaims every shared-memory segment.
+in-flight tasks drain (no stale-epoch reads, monotone epochs); a worker that
+dies or stops fails its gatherers typed and bounded (``PoolError`` from the
+monitor, ``MiningTimeoutError`` from the deadline), never a hang; and closing
+the system reclaims every worker, thread and shared-memory segment.
 
 The inline pool (``workers<=1``) exercises the exact spec-executor path
 without process startup, so most equivalence checks are cheap; a smaller set
@@ -14,13 +16,21 @@ of checks runs against real spawned workers.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import time
 from multiprocessing import shared_memory
 
 import pytest
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
 from repro.core.miner import RatingMiner
-from repro.errors import EmptyRatingSetError, PoolError, StaleEpochError
+from repro.errors import (
+    EmptyRatingSetError,
+    MiningTimeoutError,
+    PoolError,
+    StaleEpochError,
+)
 from repro.geo.explorer import GeoExplorer
 from repro.server.api import MapRat
 from repro.server.procpool import ProcessMiningPool
@@ -48,6 +58,26 @@ def build_system(dataset, mining_config, backend, workers, **server_kwargs) -> M
         ),
     )
     return MapRat.for_dataset(dataset, config)
+
+
+def toy_story_spec(dataset, store, config) -> tuple:
+    """One real SM mining spec for the Toy Story selection of ``store``."""
+    item_ids = tuple(item.item_id for item in dataset.items_by_title("Toy Story"))
+    return ("similarity", store.epoch, item_ids, None, None, config)
+
+
+def resume(process) -> None:
+    """SIGCONT a parked worker, shrugging off one that already exited.
+
+    Used in ``finally`` blocks: a worker the monitor already reaped raises
+    ``ProcessLookupError`` on the signal, and letting that propagate would
+    skip the remaining resumes and the pool shutdown, leaving SIGSTOPped
+    processes behind.
+    """
+    try:
+        os.kill(process.pid, signal.SIGCONT)
+    except (ProcessLookupError, OSError):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +285,111 @@ class TestEpochLifecycle:
             system.close()
 
 
+class TestWorkerFaults:
+    """A dead or stuck worker fails typed and bounded — never a hang."""
+
+    def test_killed_worker_fails_gather_with_pool_error(
+        self, tiny_dataset, tiny_store, mining_config
+    ):
+        pool = ProcessMiningPool(workers=2, timeout_s=60)
+        try:
+            pool.publish(tiny_store)
+            victim = pool._procs[0]  # task 0 goes to worker 0's queue
+            os.kill(victim.pid, signal.SIGSTOP)  # park it so the task queues
+            try:
+                future = pool.submit(
+                    toy_story_spec(tiny_dataset, tiny_store, mining_config)
+                )
+            finally:
+                try:
+                    os.kill(victim.pid, signal.SIGKILL)
+                except (ProcessLookupError, OSError):
+                    pass
+            # The monitor must fail the outstanding future long before the
+            # 60s deadline: PoolError, not MiningTimeoutError, not a hang.
+            started = time.monotonic()
+            with pytest.raises(PoolError, match="died unexpectedly"):
+                pool.gather(future)
+            assert time.monotonic() - started < 30
+            # The pool is broken: later submissions fail fast and say why.
+            assert "died unexpectedly" in pool.to_dict()["broken"]
+            with pytest.raises(PoolError, match="died unexpectedly"):
+                pool.submit(toy_story_spec(tiny_dataset, tiny_store, mining_config))
+        finally:
+            pool.shutdown()
+
+    def test_stuck_worker_trips_the_gather_deadline(
+        self, tiny_dataset, tiny_store, mining_config
+    ):
+        pool = ProcessMiningPool(workers=2, timeout_s=0.2)
+        stopped = []
+        try:
+            pool.publish(tiny_store)
+            for process in pool._procs:
+                os.kill(process.pid, signal.SIGSTOP)
+                stopped.append(process)
+            spec = toy_story_spec(tiny_dataset, tiny_store, mining_config)
+            future = pool.submit(spec)
+            started = time.monotonic()
+            with pytest.raises(MiningTimeoutError, match="0.2s deadline"):
+                pool.gather(future)
+            assert time.monotonic() - started < 5  # the deadline, not a hang
+            assert pool.to_dict()["broken"] is None  # slow is not dead
+        finally:
+            try:
+                for process in stopped:
+                    resume(process)
+            finally:
+                pool.shutdown()
+
+    def test_server_config_timeout_reaches_the_pool(self, tiny_dataset, mining_config):
+        system = build_system(
+            tiny_dataset, mining_config, "process", 1, mining_timeout_s=7.5
+        )
+        try:
+            assert system.pool.timeout_s == 7.5
+        finally:
+            system.close()
+
+    def test_superseded_segment_unlinks_only_after_drain(
+        self, tiny_dataset, tiny_store, mining_config
+    ):
+        # Retire-while-inflight: epoch 0's segment must survive until its
+        # last task resolves, then unlink (drain-then-retire).
+        from repro.data.ingest import compact_snapshot
+
+        pool = ProcessMiningPool(workers=2)
+        try:
+            pool.publish(tiny_store)
+            old_segments = pool.segment_names()
+            assert len(old_segments) == 1
+            victim = pool._procs[0]
+            os.kill(victim.pid, signal.SIGSTOP)  # hold the task in flight
+            try:
+                future = pool.submit(
+                    toy_story_spec(tiny_dataset, tiny_store, mining_config)
+                )
+                rating = next(iter(tiny_dataset.ratings()))
+                bumped, _ = compact_snapshot(
+                    tiny_store, [rating], use_incremental=False
+                )
+                pool.publish(bumped)  # retires epoch 0, but must not drop it yet
+                assert pool.to_dict()["retiring_epochs"] == [tiny_store.epoch]
+                assert set(old_segments) <= set(pool.segment_names())
+                for name in old_segments:  # still linked while in flight
+                    shared_memory.SharedMemory(name=name).close()
+            finally:
+                resume(victim)
+            assert pool.gather(future).objective is not None
+            assert pool.to_dict()["retiring_epochs"] == []
+            assert set(pool.segment_names()).isdisjoint(old_segments)
+            for name in old_segments:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+        finally:
+            pool.shutdown()
+
+
 class TestShutdownAndReclamation:
     def test_close_reclaims_every_segment(self, tiny_dataset, mining_config):
         system = build_system(tiny_dataset, mining_config, "process", 2)
@@ -284,3 +419,31 @@ class TestShutdownAndReclamation:
     def test_negative_workers_rejected(self):
         with pytest.raises(PoolError):
             ProcessMiningPool(workers=-1)
+
+    def test_non_positive_timeout_rejected(self):
+        for timeout_s in (0, -1.0):
+            with pytest.raises(PoolError):
+                ProcessMiningPool(timeout_s=timeout_s)
+
+    def test_shutdown_stops_every_worker_and_thread(
+        self, tiny_dataset, tiny_store, mining_config
+    ):
+        pool = ProcessMiningPool(workers=2)
+        pool.publish(tiny_store)
+        spec = toy_story_spec(tiny_dataset, tiny_store, mining_config)
+        pool.gather(pool.submit(spec))
+        procs = list(pool._procs)
+        threads = [pool._collector, pool._monitor]
+        segments = pool.segment_names()
+        pool.shutdown()
+        pool.shutdown()  # idempotent
+        assert [process.is_alive() for process in procs] == [False, False]
+        assert [process.exitcode for process in procs] == [0, 0]  # clean stop
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        with pytest.raises(PoolError):
+            pool.submit(spec)

@@ -31,7 +31,6 @@ class TestParser:
             "explore",
             "timeline",
             "serve",
-            "fleet-worker",
         }
 
     def test_missing_subcommand_exits_with_usage_error(self):
@@ -41,6 +40,13 @@ class TestParser:
     def test_unknown_scale_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "--scale", "galactic", "--query", "x"])
+
+    @pytest.mark.parametrize("backend", ["sharded", "fleet"])
+    def test_unknown_mining_backend_rejected_by_argparse(self, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--mining-backend", backend])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestGenerate:

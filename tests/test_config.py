@@ -85,6 +85,11 @@ class TestOtherConfigs:
         assert server.cache_capacity > 0
         assert server.precompute_top_items > 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "sharded", "fleet"])
+    def test_server_config_rejects_unknown_mining_backends(self, backend):
+        with pytest.raises(ConstraintError):
+            ServerConfig(mining_backend=backend)
+
     def test_pipeline_config_bundles_defaults(self):
         pipeline = PipelineConfig()
         assert isinstance(pipeline.mining, MiningConfig)
