@@ -6,23 +6,31 @@ dataset, most-rated-item slices):
 * cube enumeration — integer-code/bincount kernel vs boolean-mask DFS,
 * RHE solves for Similarity and Diversity Mining — delta-evaluated
   ``SelectionState`` vs full per-trial rebuilds (``use_fast_eval=False``),
-* the end-to-end ``mine_similarity`` + ``mine_diversity`` path.
+* the end-to-end ``mine_pair`` path: one enumeration, then the SM and DM
+  solves over the same candidate groups.
 
-Both paths are verified to return identical selections before timings are
-recorded, so the speedup numbers compare equal work.
+Both paths are verified to return identical selections (groups, objective,
+iterations, restart trace, feasibility) before timings are recorded, so the
+speedup numbers compare equal work.  The script exits non-zero when any
+``identical`` field of the record is false, which makes ``--quick`` a
+fast == naive check at benchmark scale.
 
 Run the writer (from the repository root)::
 
     python benchmarks/bench_kernel.py            # writes BENCH_kernel.json
     python benchmarks/bench_kernel.py --quick    # fewer repeats, small scale only
 
-``BENCH_kernel.json`` is the perf trajectory future PRs regress against.
+``BENCH_kernel.json`` is the perf trajectory future PRs regress against; it
+records the CPU count and git sha of the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -31,6 +39,8 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+import numpy
 
 from repro.config import MiningConfig
 from repro.core.cube import CandidateEnumerator
@@ -119,8 +129,8 @@ def bench_scale(scale, repeats):
         },
     }
 
-    e2e_fast_s = enum_kernel_s * 2  # mine_similarity + mine_diversity each enumerate
-    e2e_naive_s = enum_naive_s * 2
+    e2e_fast_s = enum_kernel_s  # mine_pair enumerates once for both solves
+    e2e_naive_s = enum_naive_s
     for name, problem_class in (
         ("similarity", SimilarityProblem),
         ("diversity", DiversityProblem),
@@ -132,7 +142,9 @@ def bench_scale(scale, repeats):
             [g.descriptor for g in fast_result.groups]
             == [g.descriptor for g in naive_result.groups]
             and fast_result.objective == naive_result.objective
+            and fast_result.iterations == naive_result.iterations
             and fast_result.trace == naive_result.trace
+            and fast_result.feasible == naive_result.feasible
         )
         fast_s, _ = _best_of(lambda: _solve(problem, True), repeats)
         naive_s, _ = _best_of(lambda: _solve(problem, False), repeats)
@@ -155,6 +167,32 @@ def bench_scale(scale, repeats):
     return record
 
 
+def _git_sha():
+    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() or None
+
+
+def _divergent(report):
+    """``scale.section`` names whose fast path differs from the naive one."""
+    return [
+        f"{scale}.{section}"
+        for scale, record in report["scales"].items()
+        for section, fields in record.items()
+        if isinstance(fields, dict) and not fields.get("identical", True)
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -175,6 +213,13 @@ def main(argv=None):
         "benchmark": "kernel",
         "workload": "bench_mri_scalability (synthetic MovieLens, most-rated-item slices)",
         "solver": SOLVER_KWARGS,
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "platform": platform.platform(),
+            "git_sha": _git_sha(),
+        },
         "scales": {},
     }
     for name, scale in scales.items():
@@ -193,6 +238,10 @@ def main(argv=None):
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[bench_kernel] wrote {output}")
+    divergent = _divergent(report)
+    if divergent:
+        print(f"[bench_kernel] fast != naive: {', '.join(divergent)}", file=sys.stderr)
+        sys.exit(1)
     return report
 
 

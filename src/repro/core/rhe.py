@@ -5,8 +5,13 @@ optimization problems are solved using Randomized Hill Exploration (RHE)
 algorithm."  The problems are NP-hard, so RHE trades optimality for speed:
 
 1. **Randomized start** — sample ``k`` distinct candidate groups; a greedy
-   repair pass swaps low-coverage picks for high-coverage ones until the
-   coverage constraint is met (or no repair helps).
+   repair pass walks the candidates largest-first, swapping each into the
+   smallest slot, until the coverage constraint is met (or the walk ends).
+   The repair is bounded: it computes an exact coverage only once the
+   selection's summed sizes could reach ``min_coverage``, and on a slice
+   whose ``k`` largest groups cannot, it returns the walk's end state (the
+   ``k - 1`` largest groups and the smallest candidate) after about ``k + 1``
+   steps.
 2. **Hill exploration** — repeatedly try replacing one selected group with one
    unselected candidate; accept the swap when it improves the *penalised*
    objective (objective minus a large constraint-violation penalty).  The
@@ -15,12 +20,13 @@ algorithm."  The problems are NP-hard, so RHE trades optimality for speed:
    selection found across restarts.
 
 The inner loop is **delta-evaluated** through :class:`SelectionState`: the
-state caches each candidate's scalar statistics, packed membership bitsets and
-the selection's leave-one-out bitset unions, so one swap trial costs a single
-bitwise OR + popcount over ``ceil(n/8)`` words plus O(k²) scalar work —
-instead of re-unioning all position arrays and rebuilding every constraint
-from the group lists (O(n·k) per trial).  The delta path replays the naive
-arithmetic exactly (see :mod:`repro.core.measures` and
+state caches each candidate's scalar statistics, its membership bitset (built
+on the candidate's first use, so a solve pays only for the candidates it
+touches) and the selection's leave-one-out bitset unions, so one swap trial
+costs a single bitwise OR + popcount over ``ceil(n/8)`` words plus O(k²)
+scalar work — instead of re-unioning all position arrays and rebuilding every
+constraint from the group lists (O(n·k) per trial).  The delta path replays
+the naive arithmetic exactly (see :mod:`repro.core.measures` and
 :mod:`repro.core.constraints`), so for a fixed seed the solver returns
 bit-identical selections and objectives either way; ``use_fast_eval=False``
 forces the naive path, which the equivalence property tests and the kernel
@@ -62,9 +68,10 @@ class SelectionState:
     """Incremental evaluation state for swap-based selection solvers.
 
     Caches, per candidate group: size, error, mean, descriptor and the packed
-    membership bitset.  For the current selection it maintains the
-    leave-one-out OR bitsets, so evaluating "replace the group at ``position``
-    with ``candidate``" needs one OR + popcount and O(k) scalar gathers.
+    membership bitset as a Python int, converted on the candidate's first
+    use.  For the current selection it maintains the leave-one-out OR
+    bitsets, so evaluating "replace the group at ``position`` with
+    ``candidate``" needs one OR + popcount and O(k) scalar gathers.
 
     Every float produced here is bit-identical to
     ``problem.penalized_objective`` on the equivalent group list: coverage
@@ -81,7 +88,8 @@ class SelectionState:
         self.means = [float(g.mean) for g in candidates]
         self.descriptors = [g.descriptor for g in candidates]
         self.unique_descriptors = len(set(self.descriptors)) == len(self.descriptors)
-        self.masks = [to_int_mask(g.packed_bits(self.total)) for g in candidates]
+        self._candidates = candidates
+        self._masks: List[Optional[int]] = [None] * len(candidates)
         self._by_size: Optional[List[int]] = None
         self._sel: List[int] = []
         self._loo: List[int] = []
@@ -113,13 +121,21 @@ class SelectionState:
             return None
         return cls(problem)
 
+    def mask(self, index: int) -> int:
+        """Membership bitset of one candidate as an int, converted on first use."""
+        mask = self._masks[index]
+        if mask is None:
+            mask = to_int_mask(self._candidates[index].packed_bits(self.total))
+            self._masks[index] = mask
+        return mask
+
     # -- full (non-incremental) evaluation ----------------------------------------
 
     def covered_count(self, indices: Sequence[int]) -> int:
         """Distinct covered positions of an arbitrary candidate-index selection."""
         union = 0
         for index in indices:
-            union |= self.masks[index]
+            union |= self.mask(index)
         return union.bit_count()
 
     def coverage(self, indices: Sequence[int]) -> float:
@@ -135,16 +151,16 @@ class SelectionState:
     def reset(self, indices: Sequence[int]) -> None:
         """Adopt a selection: cache its leave-one-out bitsets and value."""
         self._sel = list(indices)
-        self._loo = leave_one_out_masks([self.masks[i] for i in self._sel])
+        self._loo = leave_one_out_masks([self.mask(i) for i in self._sel])
         self.value = self._penalized(self._sel, self.covered_count(self._sel))
 
     def trial(self, position: int, candidate: int) -> float:
         """Penalised objective after swapping ``candidate`` into ``position``.
 
         O(words + k): the covered count of the hypothetical selection is
-        ``loo[position] | masks[candidate]`` — no position arrays are touched.
+        ``loo[position] | mask(candidate)`` — no position arrays are touched.
         """
-        covered = (self._loo[position] | self.masks[candidate]).bit_count()
+        covered = (self._loo[position] | self.mask(candidate)).bit_count()
         indices = list(self._sel)
         indices[position] = candidate
         return self._penalized(indices, covered)
@@ -152,7 +168,7 @@ class SelectionState:
     def commit(self, position: int, candidate: int, value: float) -> None:
         """Apply an accepted swap and refresh the leave-one-out cache."""
         self._sel[position] = candidate
-        self._loo = leave_one_out_masks([self.masks[i] for i in self._sel])
+        self._loo = leave_one_out_masks([self.mask(i) for i in self._sel])
         self.value = value
 
     # -- internals ----------------------------------------------------------------
@@ -184,6 +200,13 @@ class SelectionState:
         misses) are order-free, float folds keep selection order.  Returns
         ``None`` otherwise — the generic :class:`SelectionStats` path then
         handles custom subclasses through their own ``penalty_fast``.
+
+        Selections of at most ``max_groups`` groups — every selection the
+        solver builds — skip the terms that are +0.0 for them: the max-groups
+        term, and each per-candidate term that no candidate of the problem
+        incurs.  The penalties are non-negative, so adding +0.0 to the left
+        fold changes nothing and the remaining terms keep their order.
+        Longer selections fold the full term list.
         """
         total = self.total
         sizes = self.sizes
@@ -192,16 +215,21 @@ class SelectionState:
         descriptors = self.descriptors
 
         penalty_fns = []
+        live_fns = []  # the terms that can be non-zero while k <= limit
+        limit = float("inf")
         for constraint in problem.constraints.constraints:
             ctype = type(constraint)
             if ctype is MaxGroupsConstraint:
                 max_groups = constraint.max_groups
+                limit = min(limit, max_groups)
+                live = False
 
                 def fn(indices, k, covered, _mg=max_groups):
                     return max(0, k - _mg) / _mg
 
             elif ctype is MinCoverageConstraint:
                 min_coverage = constraint.min_coverage
+                live = True
 
                 def fn(indices, k, covered, _mc=min_coverage):
                     cov = covered / total if total > 0 else 0.0
@@ -210,6 +238,7 @@ class SelectionState:
             elif ctype is DescriptionLengthConstraint:
                 max_length = constraint.max_length
                 excess = [max(0, len(d) - max_length) for d in descriptors]
+                live = any(excess)
 
                 def fn(indices, k, covered, _excess=excess):
                     e = 0
@@ -220,6 +249,7 @@ class SelectionState:
             elif ctype is MinSupportConstraint:
                 min_support = constraint.min_support
                 short = [1 if s < min_support else 0 for s in sizes]
+                live = any(short)
 
                 def fn(indices, k, covered, _short=short):
                     n = 0
@@ -232,6 +262,7 @@ class SelectionState:
                     0 if d.has_attribute(constraint.geo_attribute) else 1
                     for d in descriptors
                 ]
+                live = any(missing)
 
                 def fn(indices, k, covered, _missing=missing):
                     n = 0
@@ -242,6 +273,8 @@ class SelectionState:
             else:
                 return None
             penalty_fns.append(fn)
+            if live:
+                live_fns.append(fn)
 
         problem_type = type(problem)
         if problem_type is SimilarityProblem:
@@ -291,7 +324,7 @@ class SelectionState:
         def penalized(indices, covered):
             k = len(indices)
             penalty = 0
-            for fn in penalty_fns:
+            for fn in live_fns if k <= limit else penalty_fns:
                 penalty = penalty + fn(indices, k, covered)
             return objective(indices) - PENALTY_WEIGHT * float(penalty)
 
@@ -479,24 +512,63 @@ class RandomizedHillExploration:
         state,
         selection: List[int],
     ) -> List[int]:
-        """Swap smallest groups for large candidates until coverage is met."""
+        """Swap smallest groups for large candidates until coverage is met.
+
+        Walks the candidates largest-first: each one not yet selected replaces
+        the selection's smallest member (the first one, on ties) until the
+        selection covers ``min_coverage``.  Two exact shortcuts return the
+        list the full walk would, in O(k) steps when coverage is out of reach:
+
+        * the exact bitset coverage is computed only once the selection's
+          summed sizes reach ``min_coverage`` — a union never outgrows the
+          sum of its parts, and ``count / total`` is monotone;
+        * once the swapped-in group is strictly smaller than every other
+          member and the summed sizes fall short, every later step would swap
+          that same slot (later candidates are no larger, the other members
+          come earlier in the walk) without meeting coverage, so the slot
+          takes the walk's last candidate at once.  Size ties and repeated
+          descriptors keep stepping.
+
+        On a slice whose ``k`` largest groups cannot reach ``min_coverage``
+        the walk thus ends, as the full walk does, holding the ``k - 1``
+        largest groups and the smallest candidate — after about ``k + 1``
+        steps and no exact coverage.
+        """
         required = getattr(problem.config, "min_coverage", 0.0)
-        if state.coverage(selection) >= required:
-            return selection
+        total = problem.total_ratings
         sizes = state.sizes
+
+        def met(indices, summed):
+            return (
+                coverage_from_count(summed, total) >= required
+                and state.coverage(indices) >= required
+            )
+
+        summed = sum(sizes[i] for i in selection)
+        if met(selection, summed):
+            return selection
+        order = state.by_size()
         repaired = list(selection)
         selected_keys = {state.key(i) for i in repaired}
-        for big in state.by_size():
-            if state.coverage(repaired) >= required:
+        for big in order:
+            if met(repaired, summed):
                 break
             if state.key(big) in selected_keys:
                 continue
-            smallest_index = min(
-                range(len(repaired)), key=lambda i: sizes[repaired[i]]
-            )
-            selected_keys.discard(state.key(repaired[smallest_index]))
-            repaired[smallest_index] = big
+            slot = min(range(len(repaired)), key=lambda i: sizes[repaired[i]])
+            selected_keys.discard(state.key(repaired[slot]))
+            summed += sizes[big] - sizes[repaired[slot]]
+            repaired[slot] = big
             selected_keys.add(state.key(big))
+            if (
+                state.unique_descriptors
+                and coverage_from_count(summed, total) < required
+                and all(
+                    sizes[big] < sizes[m] for p, m in enumerate(repaired) if p != slot
+                )
+            ):
+                repaired[slot] = order[-1]
+                break
         return repaired
 
     def _hill_climb(

@@ -1,11 +1,14 @@
 """Tests for the Randomized Hill Exploration solver."""
 
+import numpy as np
 import pytest
 
 from repro.config import MiningConfig
+from repro.core import rhe
 from repro.core.baselines import RandomSolver
+from repro.core.groups import Group, GroupDescriptor
 from repro.core.problems import DiversityProblem, SimilarityProblem
-from repro.core.rhe import RandomizedHillExploration
+from repro.core.rhe import RandomizedHillExploration, SelectionState
 from repro.errors import InfeasibleProblemError
 
 
@@ -110,3 +113,49 @@ class TestConfiguration:
         assert solver.restarts == 1
         assert solver.max_iterations == 1
         assert solver.neighborhood_sample == 1
+
+
+class TestUnreachableCoverageCost:
+    """A solve whose coverage constraint cannot be met pays per touched
+    candidate: the start repair and the mask table do not grow with the
+    candidate count."""
+
+    CANDIDATES = 1000
+
+    @pytest.fixture(scope="class")
+    def problem(self, tiny_store):
+        rating_slice = tiny_store.slice_all()
+        total = len(rating_slice)
+        rng = np.random.default_rng(0)
+        groups = []
+        for index in range(self.CANDIDATES):
+            size = int(rng.integers(5, total // 20))
+            positions = np.sort(rng.choice(total, size=size, replace=False))
+            descriptor = GroupDescriptor((("occupation", f"o{index}"), ("state", "CA")))
+            groups.append(Group.from_positions(descriptor, rating_slice, positions))
+        config = MiningConfig()
+        largest = sorted(group.size for group in groups)[-config.max_groups :]
+        assert sum(largest) < config.min_coverage * total
+        return SimilarityProblem(rating_slice, groups, config)
+
+    def test_repair_computes_a_constant_number_of_exact_coverages(self, problem):
+        solver = RandomizedHillExploration()
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            state = SelectionState.for_problem(problem)
+            calls = []
+            exact = state.coverage
+            state.coverage = lambda indices: calls.append(1) or exact(indices)
+            start = rng.choice(self.CANDIDATES, size=problem.max_groups, replace=False)
+            solver._repair_coverage(problem, state, [int(i) for i in start])
+            assert len(calls) <= problem.max_groups + 1
+
+    def test_solve_converts_fewer_masks_than_candidates(self, problem, monkeypatch):
+        conversions = []
+        convert = rhe.to_int_mask
+        monkeypatch.setattr(
+            rhe, "to_int_mask", lambda bits: conversions.append(1) or convert(bits)
+        )
+        result = RandomizedHillExploration().solve(problem)
+        assert not result.feasible
+        assert 0 < len(conversions) < self.CANDIDATES

@@ -9,14 +9,18 @@ The optimized pipeline has three layers of machinery that must be *exactly*
 * packed-bitset coverage (OR + popcount) vs ``np.unique`` over position
   arrays,
 * the delta-evaluated ``SelectionState`` (compiled and generic stats paths)
-  vs ``MiningProblem.penalized_objective`` on rebuilt group lists, and
+  vs ``MiningProblem.penalized_objective`` on rebuilt group lists,
 * whole RHE solves with ``use_fast_eval=True`` vs ``use_fast_eval=False``
-  for a fixed seed.
+  for a fixed seed, and
+* the bounded coverage repair vs the full largest-first walk it replaced
+  (:func:`_reference_repair_coverage`), alone and inside whole solves.
 
 Every comparison below uses ``==`` on floats deliberately: the fast paths are
 specified to replay the naive arithmetic exactly, not approximately.
 """
 
+import functools
+import random
 from typing import Dict, List
 
 import numpy as np
@@ -26,10 +30,15 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
 from repro.core.bitset import pack_positions, popcount, to_int_mask, union_rows
 from repro.core.cube import CandidateEnumerator
+from repro.core.groups import Group, GroupDescriptor
 from repro.core.measures import covered_positions
 from repro.core.miner import RatingMiner
 from repro.core.problems import DiversityProblem, SimilarityProblem
-from repro.core.rhe import RandomizedHillExploration, SelectionState
+from repro.core.rhe import (
+    RandomizedHillExploration,
+    SelectionState,
+    make_selection_state,
+)
 from repro.data.lattice import CuboidLattice
 from repro.data.model import Item, Rating, RatingDataset, Reviewer
 from repro.data.storage import RatingStore
@@ -44,13 +53,10 @@ VALUES: Dict[str, List[str]] = {
 }
 
 
-@st.composite
-def rating_stores(draw, min_size=3, max_size=40):
-    """A store whose ratings all belong to item 1."""
-    size = draw(st.integers(min_value=min_size, max_value=max_size))
+def _store(rows):
+    """A store of one rating of item 1 per ``(attribute values, score)`` row."""
     reviewers, ratings = [], []
-    for index in range(size):
-        values = {name: draw(st.sampled_from(VALUES[name])) for name in ATTRIBUTES}
+    for index, (values, score) in enumerate(rows):
         reviewers.append(
             Reviewer(
                 reviewer_id=index + 1,
@@ -62,10 +68,31 @@ def rating_stores(draw, min_size=3, max_size=40):
                 city=values["state"],
             )
         )
-        score = float(draw(st.integers(1, 5)))
         ratings.append(Rating(1, index + 1, score, timestamp=1_000 + index))
     dataset = RatingDataset(reviewers, [Item(1, "Movie")], ratings, validate=False)
     return RatingStore(dataset, grouping_attributes=ATTRIBUTES)
+
+
+@st.composite
+def rating_stores(draw, min_size=3, max_size=40):
+    """A store whose ratings all belong to item 1."""
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    return _store(
+        (
+            {name: draw(st.sampled_from(VALUES[name])) for name in ATTRIBUTES},
+            float(draw(st.integers(1, 5))),
+        )
+        for _ in range(size)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_slice(size):
+    """A slice of ``size`` ratings for tests that read only its length."""
+    values = {name: options[0] for name, options in VALUES.items()}
+    return _store((values, float(1 + index % 5)) for index in range(size)).slice_for_items(
+        [1]
+    )
 
 
 def rating_slices(min_size=3, max_size=40):
@@ -93,6 +120,122 @@ def _enumerate(rating_slice, config, use_kernel):
     enumerator.use_kernel = use_kernel
     groups, stats = enumerator.enumerate_with_stats()
     return stats, groups
+
+
+#: Descriptors the enumerator never emits together under one config: some
+#: lack the geo anchor, some are longer than any drawn description limit.
+HAND_DESCRIPTORS = [
+    GroupDescriptor((("state", "CA"),)),
+    GroupDescriptor((("gender", "M"),)),
+    GroupDescriptor((("gender", "F"), ("state", "NY"))),
+    GroupDescriptor((("age_group", "Under 18"), ("occupation", "other"))),
+    GroupDescriptor((("age_group", "25-34"), ("gender", "M"), ("state", "TX"))),
+    GroupDescriptor(
+        (("age_group", "25-34"), ("gender", "F"), ("occupation", "other"), ("state", "CA"))
+    ),
+]
+
+
+def _hand_built_group(rating_slice, descriptor, positions):
+    positions = np.sort(np.asarray(positions, dtype=np.int64))
+    return Group.from_positions(descriptor, rating_slice, positions)
+
+
+@st.composite
+def hand_built_candidates(draw, rating_slice, max_count=12):
+    """Candidate groups over drawn positions, with descriptors that incur the
+    description, support and geo penalties the enumerator filters out."""
+    total = len(rating_slice)
+    count = draw(st.integers(1, max_count))
+    return [
+        _hand_built_group(
+            rating_slice,
+            draw(st.sampled_from(HAND_DESCRIPTORS)),
+            draw(st.permutations(range(total)))[: draw(st.integers(1, total))],
+        )
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def repair_cases(draw):
+    """A problem and a random start for the coverage repair.
+
+    Sizes come from a pool of at most four values, so size ties are common;
+    descriptors are distinct or drawn from a pool of three (repeated
+    descriptors switch the solver to descriptor identity); ``k`` runs from
+    1 to 4 and ``min_coverage`` covers 0, 0.3, 1.0, drawn values and the
+    fractions ``count / total`` a selection can meet exactly.
+    """
+    total = draw(st.integers(1, 30))
+    rating_slice = _plain_slice(total)
+    count = draw(st.integers(1, 40))
+    largest = draw(st.integers(1, total))  # small groups keep coverage unreachable
+    size_pool = draw(st.lists(st.integers(1, largest), min_size=1, max_size=4))
+    distinct = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    candidates = [
+        _hand_built_group(
+            rating_slice,
+            GroupDescriptor((("state", f"S{index if distinct else rnd.randrange(3)}"),)),
+            rnd.sample(range(total), rnd.choice(size_pool)),
+        )
+        for index in range(count)
+    ]
+    k = draw(st.integers(1, min(4, count)))
+    config = MiningConfig(
+        max_groups=k,
+        min_coverage=draw(
+            st.one_of(
+                st.sampled_from([0.0, 0.3, 1.0]),
+                st.floats(0.0, 1.0),
+                st.integers(0, total).map(lambda count: count / total),
+            )
+        ),
+        min_group_support=1,
+        grouping_attributes=ATTRIBUTES,
+        rhe_restarts=2,
+        rhe_max_iterations=40,
+    )
+    problem_class = draw(st.sampled_from([SimilarityProblem, DiversityProblem]))
+    return problem_class(rating_slice, candidates, config), rnd.sample(range(count), k)
+
+
+def _reference_repair_coverage(problem, state, selection):
+    """The full largest-first repair walk, verbatim from before the bounds."""
+    required = getattr(problem.config, "min_coverage", 0.0)
+    if state.coverage(selection) >= required:
+        return selection
+    sizes = state.sizes
+    repaired = list(selection)
+    selected_keys = {state.key(i) for i in repaired}
+    for big in state.by_size():
+        if state.coverage(repaired) >= required:
+            break
+        if state.key(big) in selected_keys:
+            continue
+        smallest_index = min(
+            range(len(repaired)), key=lambda i: sizes[repaired[i]]
+        )
+        selected_keys.discard(state.key(repaired[smallest_index]))
+        repaired[smallest_index] = big
+        selected_keys.add(state.key(big))
+    return repaired
+
+
+class _ReferenceRepairRHE(RandomizedHillExploration):
+    """RHE whose random starts are repaired by the full reference walk."""
+
+    def _repair_coverage(self, problem, state, selection):
+        return _reference_repair_coverage(problem, state, selection)
+
+
+def _assert_same_solve(left, right):
+    assert [g.descriptor for g in left.groups] == [g.descriptor for g in right.groups]
+    assert left.objective == right.objective
+    assert left.iterations == right.iterations
+    assert left.trace == right.trace
+    assert left.feasible == right.feasible
 
 
 class TestEnumerationParity:
@@ -215,6 +358,62 @@ class TestObjectiveParity:
                 [candidates[i] for i in swapped]
             )
 
+    @given(rating_slices(), mining_configs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_selections_longer_than_max_groups_fold_every_term(
+        self, rating_slice, config, data
+    ):
+        _, candidates = _enumerate(rating_slice, config, True)
+        if len(candidates) <= config.max_groups:
+            return
+        indices = data.draw(
+            st.lists(
+                st.integers(0, len(candidates) - 1),
+                min_size=config.max_groups + 1,
+                max_size=min(config.max_groups + 3, len(candidates)),
+                unique=True,
+            )
+        )
+        for problem_class in (SimilarityProblem, DiversityProblem):
+            problem = problem_class(rating_slice, candidates, config)
+            _assert_compiled_state_matches_naive(problem, indices, data)
+
+    @given(rating_slices(), mining_configs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_with_description_support_and_geo_penalties(
+        self, rating_slice, config, data
+    ):
+        candidates = data.draw(hand_built_candidates(rating_slice))
+        indices = data.draw(
+            st.lists(
+                st.integers(0, len(candidates) - 1),
+                min_size=1,
+                max_size=min(config.max_groups + 2, len(candidates)),
+            )
+        )
+        for problem_class in (SimilarityProblem, DiversityProblem):
+            problem = problem_class(rating_slice, candidates, config)
+            _assert_compiled_state_matches_naive(problem, indices, data)
+
+
+def _assert_compiled_state_matches_naive(problem, indices, data):
+    """``evaluate`` and an incremental ``trial`` on the compiled evaluator
+    equal ``penalized_objective`` on the rebuilt group lists."""
+    candidates = problem.candidates
+    state = SelectionState.for_problem(problem)
+    assert state._compiled is not None
+    assert state.evaluate(indices) == problem.penalized_objective(
+        [candidates[i] for i in indices]
+    )
+    state.reset(indices)
+    candidate = data.draw(st.integers(0, len(candidates) - 1))
+    position = data.draw(st.integers(0, len(indices) - 1))
+    swapped = list(indices)
+    swapped[position] = candidate
+    assert state.trial(position, candidate) == problem.penalized_objective(
+        [candidates[i] for i in swapped]
+    )
+
 
 class TestSolverEquivalence:
     @given(rating_slices(min_size=6), mining_configs(), st.integers(0, 2**16))
@@ -261,6 +460,55 @@ class TestSolverEquivalence:
             )
             result = solver.solve(problem)
             assert 0 < result.iterations <= solver.restarts * budget
+
+
+class TestRepairOracle:
+    """The bounded repair returns exactly what the full walk returns."""
+
+    @given(repair_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_repair_matches_the_reference_walk_position_for_position(self, case):
+        problem, start = case
+        solver = RandomizedHillExploration()
+        for use_fast_eval in (True, False):
+            state = make_selection_state(problem, use_fast_eval)
+            expected = _reference_repair_coverage(problem, state, list(start))
+            assert solver._repair_coverage(problem, state, list(start)) == expected
+
+    @given(repair_cases(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_solves_match_a_solver_running_the_reference_walk(self, case, seed):
+        problem, _ = case
+        for use_fast_eval in (True, False):
+            kwargs = dict(
+                restarts=2, max_iterations=40, seed=seed, use_fast_eval=use_fast_eval
+            )
+            _assert_same_solve(
+                RandomizedHillExploration(**kwargs).solve(problem),
+                _ReferenceRepairRHE(**kwargs).solve(problem),
+            )
+
+    @given(
+        rating_slices(min_size=6),
+        mining_configs(),
+        st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_enumerated_solves_match_the_reference_walk(
+        self, rating_slice, config, min_coverage, seed
+    ):
+        config = config.with_overrides(min_coverage=min_coverage)
+        _, candidates = _enumerate(rating_slice, config, True)
+        if not candidates:
+            return
+        for problem_class in (SimilarityProblem, DiversityProblem):
+            problem = problem_class(rating_slice, candidates, config)
+            kwargs = dict(restarts=2, max_iterations=40, seed=seed)
+            _assert_same_solve(
+                RandomizedHillExploration(**kwargs).solve(problem),
+                _ReferenceRepairRHE(**kwargs).solve(problem),
+            )
 
 
 def _explanation_fingerprint(explanation):
