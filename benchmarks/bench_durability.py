@@ -14,6 +14,11 @@ records three scenarios into ``BENCH_durability.json``:
   vs a warm restart (snapshot recovery + warm-anchor replay) + the same
   explain served hot from the restored cache.
 
+The store recovered from the snapshot must equal the compacted store it was
+written from — columns, code columns, vocabularies and item index — or the
+script exits 1.  The record carries the CPU count, Python, numpy, platform
+and git sha of the run.
+
 Run the writer (from the repository root)::
 
     python benchmarks/bench_durability.py            # writes BENCH_durability.json
@@ -24,6 +29,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -95,6 +103,34 @@ def bench_wal_throughput(dataset, store, rows: int) -> dict:
     return results
 
 
+def store_mismatches(left: RatingStore, right: RatingStore) -> list:
+    """Names of the parts in which two stores differ (empty when identical)."""
+    parts = [
+        ("epoch", left.epoch == right.epoch),
+        ("grouping_attributes", left.grouping_attributes == right.grouping_attributes),
+    ]
+    for name in ("_item_ids", "_reviewer_ids", "_scores", "_timestamps"):
+        parts.append((name, np.array_equal(getattr(left, name), getattr(right, name))))
+    for attribute in left.grouping_attributes:
+        parts.append((
+            f"codes.{attribute}",
+            np.array_equal(left.codes_for(attribute), right.codes_for(attribute)),
+        ))
+        parts.append((
+            f"vocabulary.{attribute}",
+            np.array_equal(left.vocabulary_for(attribute), right.vocabulary_for(attribute)),
+        ))
+    same_items = set(left._positions_by_item) == set(right._positions_by_item)
+    parts.append((
+        "positions_by_item",
+        same_items and all(
+            np.array_equal(positions, right._positions_by_item[item_id])
+            for item_id, positions in left._positions_by_item.items()
+        ),
+    ))
+    return [name for name, same in parts if not same]
+
+
 def bench_snapshot(dataset, store, delta_rows: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         controller = DurabilityController(tmp)
@@ -104,6 +140,7 @@ def bench_snapshot(dataset, store, delta_rows: int) -> dict:
         live.compact()  # drains + writes snapshot-00000001.snap
         compact_and_snapshot_seconds = time.perf_counter() - started
         snapshot = controller.last_snapshot
+        compacted = live.snapshot
         controller.close()
 
         started = time.perf_counter()
@@ -113,6 +150,7 @@ def bench_snapshot(dataset, store, delta_rows: int) -> dict:
         )
         recover_seconds = time.perf_counter() - started
         assert report.mode == "snapshot" and recovered.epoch == 1
+        mismatches = store_mismatches(recovered.snapshot, compacted)
         recovered_controller.close()
 
     started = time.perf_counter()
@@ -127,7 +165,25 @@ def bench_snapshot(dataset, store, delta_rows: int) -> dict:
         "recovery_speedup_over_build": round(
             build_seconds / max(recover_seconds, 1e-9), 2
         ),
+        "recovered_equals_compacted": not mismatches,
+        "mismatches": mismatches,
     }
+
+
+def _git_sha():
+    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() or None
 
 
 def bench_warm_restart(dataset) -> dict:
@@ -222,6 +278,13 @@ def main(argv=None):
 
     report = {
         "benchmark": "durability",
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "git_sha": _git_sha(),
+        },
         "dataset": {
             "reviewers": DATASET_CONFIG.num_reviewers,
             "movies": DATASET_CONFIG.num_movies,
@@ -235,6 +298,12 @@ def main(argv=None):
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if snapshot["mismatches"]:
+        print(
+            "recovered store != compacted store: " + ", ".join(snapshot["mismatches"]),
+            file=sys.stderr,
+        )
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -215,8 +215,8 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
 def _time_interval(args: argparse.Namespace) -> Optional[TimeInterval]:
     if args.start_year is None and args.end_year is None:
         return None
-    start = args.start_year or args.end_year
-    end = args.end_year or args.start_year
+    start = args.start_year if args.start_year is not None else args.end_year
+    end = args.end_year if args.end_year is not None else args.start_year
     return TimeInterval.for_years(start, end)
 
 

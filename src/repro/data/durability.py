@@ -57,11 +57,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import RecoveryError, SnapshotFormatError, WalCorruptionError
 from .model import Rating, RatingDataset, Reviewer
-from .shm import StoreManifest, _aligned, _Layout, _pack_store, _store_from_buffer
+from .shm import (
+    StoreManifest,
+    _aligned,
+    _dataset_over_buffer,
+    _Layout,
+    _pack_store,
+    _store_from_buffer,
+)
 from .storage import RatingStore
 
 __all__ = [
@@ -389,10 +394,10 @@ def load_snapshot(path, base_dataset: RatingDataset) -> RatingStore:
     """Map a snapshot file and rebuild its store zero-copy.
 
     Every column of the returned store is a read-only view into the
-    ``mmap``-ed file (kept alive through ``store._mmap_handle``); only the
-    post-base rating tail and the reviewer catalogue are materialised as
-    Python objects, because the dataset layer needs them for catalogue
-    lookups and later compactions.
+    ``mmap``-ed file (kept alive through ``store._mmap_handle``), and the
+    store's dataset wraps the same rating views; only the reviewer and item
+    catalogue is materialised as Python objects, because the dataset layer
+    needs it for lookups and later compactions.
 
     Raises:
         SnapshotFormatError: bad magic, newer format version, truncation or
@@ -490,31 +495,18 @@ def _rebuild_dataset(
     data: memoryview,
     base_dataset: RatingDataset,
 ) -> RatingDataset:
-    """Reconstruct the full catalogue: base dataset + snapshot-carried tail.
+    """The full catalogue (base + snapshot-carried reviewers) over the mapped columns.
 
-    The rating tail (rows past ``base_rows``) is decoded from the snapshot's
-    own columns, so the catalogue matches the arrays exactly even if the WAL
-    that produced those rows is long gone.
+    The snapshot's columns already hold every row — the base prefix and the
+    tail past ``base_rows`` — so the dataset wraps them as zero-copy views
+    and the catalogue matches the arrays exactly even if the WAL that
+    produced the tail is long gone.
     """
-    base_rows = meta["base_rows"]
-
-    def column(name: str) -> np.ndarray:
-        ref = manifest.base[name]
-        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=data, offset=ref.offset)
-
-    item_ids = column("item_ids")[base_rows:].tolist()
-    reviewer_ids = column("reviewer_ids")[base_rows:].tolist()
-    scores = column("scores")[base_rows:].tolist()
-    timestamps = column("timestamps")[base_rows:].tolist()
-    tail = [
-        Rating(item_id=i, reviewer_id=u, score=s, timestamp=t)
-        for i, u, s, t in zip(item_ids, reviewer_ids, scores, timestamps)
-    ]
-    return RatingDataset(
+    return _dataset_over_buffer(
+        manifest,
+        data,
         reviewers=list(base_dataset.reviewers()) + list(meta["appended_reviewers"]),
         items=list(base_dataset.items()),
-        ratings=list(base_dataset.ratings()) + tail,
         schema=base_dataset.schema,
         name=meta["dataset_name"],
-        validate=False,
     )

@@ -129,13 +129,20 @@ class SyntheticImdbCatalog:
 def enrich_with_imdb(
     dataset: RatingDataset, catalog: Optional[SyntheticImdbCatalog] = None
 ) -> RatingDataset:
-    """Return a new dataset whose items carry actor/director attributes (§3)."""
+    """Return a new dataset whose items carry actor/director attributes (§3).
+
+    The new dataset shares the rating columns of ``dataset``; only the item
+    catalogue is rebuilt.
+    """
     catalog = catalog or SyntheticImdbCatalog()
     enriched_items = [catalog.enrich(item) for item in dataset.items()]
-    return RatingDataset(
+    return RatingDataset.from_columns(
         reviewers=list(dataset.reviewers()),
         items=enriched_items,
-        ratings=list(dataset.ratings()),
+        item_ids=dataset.item_ids,
+        reviewer_ids=dataset.reviewer_ids,
+        scores=dataset.scores,
+        timestamps=dataset.timestamps,
         schema=dataset.schema,
         name=dataset.name,
         validate=False,

@@ -405,14 +405,19 @@ class CompactionResult:
 
 def _merged_dataset(
     dataset: RatingDataset,
-    ratings: Sequence[Rating],
     reviewers: Sequence[Reviewer],
+    columns: Sequence[np.ndarray],
 ) -> RatingDataset:
-    """The previous dataset plus the appended rows, in append order."""
-    return RatingDataset(
-        reviewers=list(dataset.reviewers()) + list(reviewers),
-        items=list(dataset.items()),
-        ratings=list(dataset.ratings()) + list(ratings),
+    """The previous catalogue plus the new reviewers, over the merged columns.
+
+    ``columns`` are the compacted store's own ``(item_ids, reviewer_ids,
+    scores, timestamps)``: base rows then appended rows.  The dataset wraps
+    them, so store and dataset keep sharing one copy of the ratings.
+    """
+    return RatingDataset.from_columns(
+        list(dataset.reviewers()) + list(reviewers),
+        list(dataset.items()),
+        *columns,
         schema=dataset.schema,
         name=dataset.name,
         validate=False,  # the buffer already validated every appended row
@@ -463,7 +468,8 @@ def compact_snapshot(
     The incremental path (default) performs pure delta maintenance:
 
     * base arrays (item ids, reviewer ids, scores, timestamps) are extended
-      by concatenation — existing rows are never copied element-wise,
+      by concatenation — existing rows are never copied element-wise — and
+      the new dataset wraps the extended arrays rather than a row list,
     * per-attribute vocabularies are merged via :func:`_merge_vocabulary` and
       existing code columns re-homed with one vectorised gather,
     * the per-item inverted index receives appends only for touched items,
@@ -478,7 +484,21 @@ def compact_snapshot(
     the reference the differential battery compares against (the lattice is
     rebuilt from scratch on that path too, when the old snapshot carried one).
     """
-    dataset = _merged_dataset(snapshot.dataset, ratings, reviewers)
+    base_rows = len(snapshot)
+    delta_item_ids = np.array([r.item_id for r in ratings], dtype=np.int64)
+    delta_reviewer_ids = np.array([r.reviewer_id for r in ratings], dtype=np.int64)
+    delta_scores = np.array([r.score for r in ratings], dtype=np.float64)
+    delta_timestamps = np.array([r.timestamp for r in ratings], dtype=np.int64)
+    dataset = _merged_dataset(
+        snapshot.dataset,
+        reviewers,
+        (
+            np.concatenate([snapshot._item_ids, delta_item_ids]),
+            np.concatenate([snapshot._reviewer_ids, delta_reviewer_ids]),
+            np.concatenate([snapshot._scores, delta_scores]),
+            np.concatenate([snapshot._timestamps, delta_timestamps]),
+        ),
+    )
     reviewer_lookup = {reviewer.reviewer_id: reviewer for reviewer in reviewers}
 
     def reviewer_of(reviewer_id: int) -> Reviewer:
@@ -521,17 +541,6 @@ def compact_snapshot(
             vocabulary_growth=growth,
         )
         return store, delta
-
-    base_rows = len(snapshot)
-    delta_item_ids = np.array([r.item_id for r in ratings], dtype=np.int64)
-    delta_reviewer_ids = np.array([r.reviewer_id for r in ratings], dtype=np.int64)
-    delta_scores = np.array([r.score for r in ratings], dtype=np.float64)
-    delta_timestamps = np.array([r.timestamp for r in ratings], dtype=np.int64)
-
-    item_ids = np.concatenate([snapshot._item_ids, delta_item_ids])
-    reviewer_ids = np.concatenate([snapshot._reviewer_ids, delta_reviewer_ids])
-    scores = np.concatenate([snapshot._scores, delta_scores])
-    timestamps = np.concatenate([snapshot._timestamps, delta_timestamps])
 
     # Vocabulary merge + code-column extension, one attribute at a time.  The
     # candidate values feeding the merge are the delta rows *plus* every new
@@ -618,10 +627,6 @@ def compact_snapshot(
     store = RatingStore._from_parts(
         dataset=dataset,
         grouping_attributes=snapshot.grouping_attributes,
-        item_ids=item_ids,
-        reviewer_ids=reviewer_ids,
-        scores=scores,
-        timestamps=timestamps,
         positions_by_item=positions_by_item,
         attribute_codes=attribute_codes,
         vocabularies=vocabularies,

@@ -3,9 +3,10 @@
 ``Reviewer`` and ``Item`` are lightweight immutable records; ``Rating`` is the
 triple ⟨item, reviewer, score⟩ extended with a timestamp so that the time
 dimension of MapRat (time slider, §3.1) can be exercised.  ``RatingDataset``
-owns the three collections, validates referential integrity and offers simple
-lookup helpers.  Heavier indexing (inverted indexes per attribute value) lives
-in :mod:`repro.data.storage`.
+owns the catalogue of reviewers and items plus the ratings, held as numpy
+columns rather than ``Rating`` objects; it validates referential integrity and
+offers simple lookup helpers.  Heavier indexing (inverted indexes per
+attribute value) lives in :mod:`repro.data.storage`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import DataError
 from .schema import DatasetSchema, age_group_for, default_schema
@@ -135,10 +138,18 @@ class Rating:
 class RatingDataset:
     """A collaborative rating site ``D = ⟨I, U, R⟩``.
 
-    The dataset owns the reviewers, items and ratings, enforces referential
-    integrity on construction and exposes simple lookups.  It is intentionally
-    storage-agnostic: the mining layer goes through :class:`~repro.data.storage.RatingStore`
-    which builds inverted indexes on top of a dataset.
+    The dataset owns the catalogue (reviewers and items, keyed by id) and the
+    rating tuples as four row-aligned numpy columns: ``item_ids``,
+    ``reviewer_ids`` and ``timestamps`` (``int64``) and ``scores``
+    (``float64``).  These columns are the only copy of the ratings: a
+    :class:`~repro.data.storage.RatingStore` built over the dataset adopts
+    them without copying, and no per-rating Python object outlives
+    construction — :meth:`ratings` builds :class:`Rating` records on demand.
+
+    ``RatingDataset(reviewers, items, ratings)`` accepts any iterable of
+    :class:`Rating` and converts it once; :meth:`from_columns` wraps columns
+    that already exist (a parsed file, a compacted store, a mapped snapshot).
+    The columns are read-only.
     """
 
     def __init__(
@@ -150,30 +161,105 @@ class RatingDataset:
         name: str = "dataset",
         validate: bool = True,
     ) -> None:
+        rows = ratings if isinstance(ratings, (list, tuple)) else list(ratings)
+        self._adopt(
+            reviewers,
+            items,
+            np.array([r.item_id for r in rows], dtype=np.int64),
+            np.array([r.reviewer_id for r in rows], dtype=np.int64),
+            np.array([r.score for r in rows], dtype=np.float64),
+            np.array([r.timestamp for r in rows], dtype=np.int64),
+            schema,
+            name,
+            validate,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        reviewers: Iterable[Reviewer],
+        items: Iterable[Item],
+        item_ids: np.ndarray,
+        reviewer_ids: np.ndarray,
+        scores: np.ndarray,
+        timestamps: np.ndarray,
+        schema: Optional[DatasetSchema] = None,
+        name: str = "dataset",
+        validate: bool = True,
+    ) -> "RatingDataset":
+        """A dataset over existing row-aligned rating columns (not copied).
+
+        Columns already of the right dtype are adopted as they are, so the
+        caller's arrays become the dataset's (and marked read-only).
+        """
+        dataset = cls.__new__(cls)
+        dataset._adopt(
+            reviewers, items, item_ids, reviewer_ids, scores, timestamps,
+            schema, name, validate,
+        )
+        return dataset
+
+    def _adopt(
+        self,
+        reviewers: Iterable[Reviewer],
+        items: Iterable[Item],
+        item_ids: np.ndarray,
+        reviewer_ids: np.ndarray,
+        scores: np.ndarray,
+        timestamps: np.ndarray,
+        schema: Optional[DatasetSchema],
+        name: str,
+        validate: bool,
+    ) -> None:
         self.name = name
         self.schema = schema if schema is not None else default_schema()
         self._reviewers: Dict[int, Reviewer] = {r.reviewer_id: r for r in reviewers}
         self._items: Dict[int, Item] = {i.item_id: i for i in items}
-        self._ratings: List[Rating] = list(ratings)
+        self.item_ids = _frozen(item_ids, np.int64)
+        self.reviewer_ids = _frozen(reviewer_ids, np.int64)
+        self.scores = _frozen(scores, np.float64)
+        self.timestamps = _frozen(timestamps, np.int64)
+        lengths = {
+            column.shape[0]
+            for column in (self.item_ids, self.reviewer_ids, self.scores, self.timestamps)
+        }
+        if len(lengths) != 1:
+            raise DataError(f"rating columns differ in length: {sorted(lengths)}")
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        for rating in self._ratings:
-            if rating.item_id not in self._items:
-                raise DataError(
-                    f"rating references unknown item {rating.item_id}"
-                )
-            if rating.reviewer_id not in self._reviewers:
-                raise DataError(
-                    f"rating references unknown reviewer {rating.reviewer_id}"
-                )
-            self.schema.validate_rating(rating.score)
+        """Raise on the first row (in row order) that breaks integrity or scale.
+
+        Vectorised; the offending row is then re-checked item, reviewer,
+        score — the order a row-by-row walk checks them — so the message
+        names the same problem.
+        """
+        known_items = np.fromiter(self._items, dtype=np.int64, count=len(self._items))
+        known_reviewers = np.fromiter(
+            self._reviewers, dtype=np.int64, count=len(self._reviewers)
+        )
+        bad = ~np.isin(self.item_ids, known_items)
+        bad |= ~np.isin(self.reviewer_ids, known_reviewers)
+        bad |= ~(
+            (self.scores >= self.schema.rating_min)
+            & (self.scores <= self.schema.rating_max)
+        )
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        item_id = int(self.item_ids[row])
+        reviewer_id = int(self.reviewer_ids[row])
+        if item_id not in self._items:
+            raise DataError(f"rating references unknown item {item_id}")
+        if reviewer_id not in self._reviewers:
+            raise DataError(f"rating references unknown reviewer {reviewer_id}")
+        self.schema.validate_rating(float(self.scores[row]))
 
     # -- sizes -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ratings)
+        return int(self.scores.shape[0])
 
     @property
     def num_reviewers(self) -> int:
@@ -188,7 +274,7 @@ class RatingDataset:
     @property
     def num_ratings(self) -> int:
         """Number of rating tuples ``|R|``."""
-        return len(self._ratings)
+        return len(self)
 
     # -- access ----------------------------------------------------------------
 
@@ -201,8 +287,24 @@ class RatingDataset:
         return iter(self._items.values())
 
     def ratings(self) -> Iterator[Rating]:
-        """Iterate over the rating tuples."""
-        return iter(self._ratings)
+        """Iterate over the rating tuples in row order, built on demand."""
+        return self._rows(slice(None))
+
+    def _rows(self, selection) -> Iterator[Rating]:
+        """:class:`Rating` records (Python scalars) of the selected rows.
+
+        Converted a chunk at a time, so iterating never holds more than
+        ``_ROW_CHUNK`` records' worth of Python scalars.
+        """
+        columns = (
+            self.item_ids[selection],
+            self.reviewer_ids[selection],
+            self.scores[selection],
+            self.timestamps[selection],
+        )
+        for start in range(0, int(columns[0].shape[0]), _ROW_CHUNK):
+            stop = start + _ROW_CHUNK
+            yield from map(Rating, *(column[start:stop].tolist() for column in columns))
 
     def reviewer(self, reviewer_id: int) -> Reviewer:
         """Look up one reviewer by id (raises :class:`DataError` when unknown)."""
@@ -231,58 +333,74 @@ class RatingDataset:
         wanted = title.strip().lower()
         return [item for item in self._items.values() if item.title.lower() == wanted]
 
+    def _item_mask(self, item_ids: Iterable[int]) -> np.ndarray:
+        wanted = set(item_ids)
+        return np.isin(
+            self.item_ids, np.fromiter(wanted, dtype=np.int64, count=len(wanted))
+        )
+
     def ratings_for_items(self, item_ids: Iterable[int]) -> List[Rating]:
         """Return all rating tuples of the given items (``R_I`` in §2.2)."""
-        wanted = set(item_ids)
-        return [r for r in self._ratings if r.item_id in wanted]
+        return list(self._rows(self._item_mask(item_ids)))
 
     def ratings_for_reviewer(self, reviewer_id: int) -> List[Rating]:
         """All rating tuples authored by one reviewer."""
-        return [r for r in self._ratings if r.reviewer_id == reviewer_id]
+        return list(self._rows(self.reviewer_ids == reviewer_id))
 
     # -- statistics --------------------------------------------------------------
 
     def global_average(self) -> float:
         """Average of all ratings — the single aggregate the paper criticises."""
-        if not self._ratings:
+        if len(self) == 0:
             return 0.0
-        return sum(r.score for r in self._ratings) / len(self._ratings)
+        # Python's sum in row order, not numpy's pairwise sum: the value is
+        # part of the summary payload and must not change with the storage.
+        return sum(self.scores.tolist()) / len(self)
 
     def item_average(self, item_id: int) -> float:
         """Average score of one item (0.0 when unrated)."""
-        scores = [r.score for r in self._ratings if r.item_id == item_id]
+        scores = self.scores[self.item_ids == item_id].tolist()
         if not scores:
             return 0.0
         return sum(scores) / len(scores)
 
     def rating_counts_by_item(self) -> Dict[int, int]:
-        """Number of ratings per item id."""
-        counts: Dict[int, int] = {}
-        for rating in self._ratings:
-            counts[rating.item_id] = counts.get(rating.item_id, 0) + 1
-        return counts
+        """Number of ratings per item id, in order of each item's first row."""
+        values, first_rows, counts = np.unique(
+            self.item_ids, return_index=True, return_counts=True
+        )
+        order = np.argsort(first_rows, kind="stable")
+        return dict(zip(values[order].tolist(), counts[order].tolist()))
 
     def time_range(self) -> Tuple[int, int]:
         """Return the (min, max) rating timestamps, (0, 0) when empty."""
-        if not self._ratings:
+        if len(self) == 0:
             return (0, 0)
-        stamps = [r.timestamp for r in self._ratings]
-        return (min(stamps), max(stamps))
+        return (int(self.timestamps.min()), int(self.timestamps.max()))
 
     # -- derivation ---------------------------------------------------------------
+
+    def _restricted(self, mask: np.ndarray, items: Iterable[Item], name: str) -> "RatingDataset":
+        reviewer_ids = self.reviewer_ids[mask]
+        return RatingDataset.from_columns(
+            reviewers=[self._reviewers[rid] for rid in set(reviewer_ids.tolist())],
+            items=items,
+            item_ids=self.item_ids[mask],
+            reviewer_ids=reviewer_ids,
+            scores=self.scores[mask],
+            timestamps=self.timestamps[mask],
+            schema=self.schema,
+            name=name,
+            validate=False,
+        )
 
     def restricted_to_items(self, item_ids: Iterable[int], name: str = "") -> "RatingDataset":
         """Return a new dataset containing only ratings of the given items."""
         wanted = set(item_ids)
-        ratings = [r for r in self._ratings if r.item_id in wanted]
-        reviewer_ids = {r.reviewer_id for r in ratings}
-        return RatingDataset(
-            reviewers=[self._reviewers[rid] for rid in reviewer_ids],
-            items=[self._items[iid] for iid in wanted if iid in self._items],
-            ratings=ratings,
-            schema=self.schema,
-            name=name or f"{self.name}[items={len(wanted)}]",
-            validate=False,
+        return self._restricted(
+            self._item_mask(wanted),
+            [self._items[iid] for iid in wanted if iid in self._items],
+            name or f"{self.name}[items={len(wanted)}]",
         )
 
     def restricted_to_interval(
@@ -291,20 +409,11 @@ class RatingDataset:
         """Return a new dataset with ratings inside ``[start, end]`` only."""
         if end_timestamp < start_timestamp:
             raise DataError("time interval end precedes start")
-        ratings = [
-            r
-            for r in self._ratings
-            if start_timestamp <= r.timestamp <= end_timestamp
-        ]
-        reviewer_ids = {r.reviewer_id for r in ratings}
-        item_ids = {r.item_id for r in ratings}
-        return RatingDataset(
-            reviewers=[self._reviewers[rid] for rid in reviewer_ids],
-            items=[self._items[iid] for iid in item_ids],
-            ratings=ratings,
-            schema=self.schema,
-            name=name or f"{self.name}[interval]",
-            validate=False,
+        mask = (self.timestamps >= start_timestamp) & (self.timestamps <= end_timestamp)
+        return self._restricted(
+            mask,
+            [self._items[iid] for iid in set(self.item_ids[mask].tolist())],
+            name or f"{self.name}[interval]",
         )
 
     def describe(self) -> Dict[str, object]:
@@ -318,3 +427,16 @@ class RatingDataset:
             "global_average": round(self.global_average(), 4),
             "time_range": [lo, hi],
         }
+
+
+#: Rows converted to Python scalars at a time by :meth:`RatingDataset.ratings`.
+_ROW_CHUNK = 4096
+
+
+def _frozen(column, dtype) -> np.ndarray:
+    """``column`` as a read-only 1-D array of ``dtype`` (no copy when it already is)."""
+    array = np.asarray(column, dtype=dtype)
+    if array.ndim != 1:
+        raise DataError(f"rating columns must be 1-D, got shape {array.shape}")
+    array.flags.writeable = False
+    return array

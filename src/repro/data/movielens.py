@@ -17,14 +17,17 @@ lets users export synthetic datasets for external tools.
 from __future__ import annotations
 
 import re
+from array import array
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import DatasetFormatError
 from ..geo.states import ALL_STATE_CODES
 from ..geo.zipcodes import ZipResolver
 from .imdb import SyntheticImdbCatalog
-from .model import Item, Rating, RatingDataset, Reviewer
+from .model import Item, RatingDataset, Reviewer
 from .schema import OCCUPATIONS, default_schema
 
 SEPARATOR = "::"
@@ -100,23 +103,31 @@ def load_movies_file(path: Path, enrich: bool = True) -> List[Item]:
     return items
 
 
-def load_ratings_file(path: Path) -> List[Rating]:
-    """Parse ``ratings.dat`` into rating triples."""
-    ratings: List[Rating] = []
+def load_ratings_file(path: Path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse ``ratings.dat`` into the four rating columns.
+
+    Returns ``(item_ids, reviewer_ids, scores, timestamps)`` in file order —
+    ``int64`` apart from the ``float64`` scores — ready for
+    :meth:`RatingDataset.from_columns`.  Each line is parsed straight into
+    compact ``array`` buffers, so no per-rating Python object survives it.
+    """
+    item_ids, reviewer_ids, timestamps = array("q"), array("q"), array("q")
+    scores = array("d")
     with open(path, encoding="latin-1") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             user_id, movie_id, score, timestamp = _split(line, 4, path, line_number)
-            ratings.append(
-                Rating(
-                    item_id=int(movie_id),
-                    reviewer_id=int(user_id),
-                    score=float(score),
-                    timestamp=int(timestamp),
-                )
-            )
-    return ratings
+            item_ids.append(int(movie_id))
+            reviewer_ids.append(int(user_id))
+            scores.append(float(score))
+            timestamps.append(int(timestamp))
+    return (
+        np.frombuffer(item_ids, dtype=np.int64).copy(),
+        np.frombuffer(reviewer_ids, dtype=np.int64).copy(),
+        np.frombuffer(scores, dtype=np.float64).copy(),
+        np.frombuffer(timestamps, dtype=np.int64).copy(),
+    )
 
 
 def load_movielens_directory(
@@ -143,12 +154,15 @@ def load_movielens_directory(
             raise DatasetFormatError(f"missing MovieLens file: {path}")
     reviewers = load_users_file(users_path)
     items = load_movies_file(movies_path, enrich=enrich)
-    ratings = load_ratings_file(ratings_path)
+    item_ids, reviewer_ids, scores, timestamps = load_ratings_file(ratings_path)
     schema = default_schema(states=ALL_STATE_CODES)
-    return RatingDataset(
+    return RatingDataset.from_columns(
         reviewers=reviewers,
         items=items,
-        ratings=ratings,
+        item_ids=item_ids,
+        reviewer_ids=reviewer_ids,
+        scores=scores,
+        timestamps=timestamps,
         schema=schema,
         name=name,
         validate=validate,

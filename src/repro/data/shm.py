@@ -18,9 +18,9 @@ data half of that subsystem:
   attach, and attaching costs O(number of arrays), not O(rows).
 
 Vocabularies travel inside the manifest (they are small string lists, not
-per-row data), and the attached store carries a stub dataset: the mining
-kernel operates purely on the columnar parts, so workers never need the
-Python-object catalogue.
+per-row data), and the attached store's dataset wraps the mapped rating
+columns under an empty catalogue: the mining kernel operates purely on the
+columnar parts, so workers never need the Python-object catalogue.
 
 Lifecycle: the **creator** owns the segment.  Workers attach, use, and
 ``close()``; only the creator ``unlink()``s, and only once every in-flight
@@ -257,14 +257,39 @@ def _pack_store(store: RatingStore, layout: _Layout) -> Dict[str, object]:
     }
 
 
+def _dataset_over_buffer(
+    manifest: StoreManifest,
+    buffer: memoryview,
+    reviewers=(),
+    items=(),
+    schema=None,
+    name: str = "dataset",
+) -> RatingDataset:
+    """A dataset whose rating columns are views of the packed base columns.
+
+    Zero-copy: the four columns stay in ``buffer`` (shm segment or mmap'd
+    snapshot), and :func:`_store_from_buffer` adopts the same views.
+    """
+    return RatingDataset.from_columns(
+        reviewers,
+        items,
+        *(_view(buffer, manifest.base[column]) for column in _BASE_COLUMNS),
+        schema=schema,
+        name=name,
+        validate=False,
+    )
+
+
 def _store_from_buffer(
     manifest: StoreManifest, buffer: memoryview, dataset: RatingDataset
 ) -> RatingStore:
     """Re-assemble a store from a packed buffer described by ``manifest``.
 
-    Every column of the returned store is a read-only zero-copy view into
-    ``buffer`` — the caller is responsible for keeping the backing mapping
-    (shm segment or mmap'd snapshot file) alive for the store's lifetime.
+    ``dataset`` comes from :func:`_dataset_over_buffer` on the same buffer;
+    its columns become the store's base columns.  Every column of the
+    returned store is a read-only zero-copy view into ``buffer`` — the caller
+    is responsible for keeping the backing mapping (shm segment or mmap'd
+    snapshot file) alive for the store's lifetime.
     """
     table = _view(buffer, manifest.item_table)
     positions = _view(buffer, manifest.item_positions)
@@ -308,10 +333,6 @@ def _store_from_buffer(
     return RatingStore._from_parts(
         dataset=dataset,
         grouping_attributes=manifest.grouping_attributes,
-        item_ids=_view(buffer, manifest.base["item_ids"]),
-        reviewer_ids=_view(buffer, manifest.base["reviewer_ids"]),
-        scores=_view(buffer, manifest.base["scores"]),
-        timestamps=_view(buffer, manifest.base["timestamps"]),
         positions_by_item=positions_by_item,
         attribute_codes={
             name: _view(buffer, ref) for name, ref in manifest.codes.items()
@@ -417,9 +438,10 @@ def attach_store(manifest: StoreManifest) -> RatingStore:
 
     Every column of the returned store is a zero-copy view into the mapped
     segment; the store keeps the mapping alive through ``_shm_handle`` (close
-    it with :func:`detach_store`).  The store carries an **empty stub
-    dataset** — mining, slicing and geo exploration run purely on the
-    columnar parts; catalogue lookups stay in the serving process.
+    it with :func:`detach_store`).  The store's dataset wraps the same
+    column views under an **empty catalogue** — mining, slicing and geo
+    exploration run purely on the columnar parts; catalogue lookups stay in
+    the serving process.
 
     Raises:
         DataError: when the segment has disappeared (epoch already retired).
@@ -431,12 +453,8 @@ def attach_store(manifest: StoreManifest) -> RatingStore:
             f"shared store segment {manifest.segment!r} (epoch {manifest.epoch}) "
             "is gone — the epoch was retired"
         ) from exc
-    dataset = RatingDataset(
-        reviewers=(),
-        items=(),
-        ratings=(),
-        name=f"shm-epoch-{manifest.epoch}",
-        validate=False,
+    dataset = _dataset_over_buffer(
+        manifest, shm.buf, name=f"shm-epoch-{manifest.epoch}"
     )
     store = _store_from_buffer(manifest, shm.buf, dataset)
     store._shm_handle = shm  # keeps the mapping alive with the store

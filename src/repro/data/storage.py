@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import DataError, EmptyRatingSetError
 from .lattice import CuboidLattice, LatticeHint
-from .model import Rating, RatingDataset, Reviewer
+from .model import RatingDataset, Reviewer
 
 
 def _factorize(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -422,14 +422,9 @@ class RatingStore:
         ),
         epoch: int = 0,
     ) -> None:
-        self.dataset = dataset
+        self._adopt_dataset(dataset)
         self.grouping_attributes = tuple(grouping_attributes)
         self.epoch = int(epoch)
-        ratings = list(dataset.ratings())
-        self._item_ids = np.array([r.item_id for r in ratings], dtype=np.int64)
-        self._reviewer_ids = np.array([r.reviewer_id for r in ratings], dtype=np.int64)
-        self._scores = np.array([r.score for r in ratings], dtype=np.float64)
-        self._timestamps = np.array([r.timestamp for r in ratings], dtype=np.int64)
         self._positions_by_item: Dict[int, np.ndarray] = self._build_item_index()
         self._attribute_codes: Dict[str, np.ndarray] = {}
         self._vocabularies: Dict[str, np.ndarray] = {}
@@ -438,15 +433,23 @@ class RatingStore:
         self._index_lock = threading.Lock()
         self._build_attribute_columns()
 
+    def _adopt_dataset(self, dataset: RatingDataset) -> None:
+        """Take the dataset's rating columns as the store's base columns.
+
+        The store never copies them: the dataset's columns are the one copy
+        of the ratings, shared by both.
+        """
+        self.dataset = dataset
+        self._item_ids = dataset.item_ids
+        self._reviewer_ids = dataset.reviewer_ids
+        self._scores = dataset.scores
+        self._timestamps = dataset.timestamps
+
     @classmethod
     def _from_parts(
         cls,
         dataset: RatingDataset,
         grouping_attributes: Tuple[str, ...],
-        item_ids: np.ndarray,
-        reviewer_ids: np.ndarray,
-        scores: np.ndarray,
-        timestamps: np.ndarray,
         positions_by_item: Dict[int, np.ndarray],
         attribute_codes: Dict[str, np.ndarray],
         vocabularies: Dict[str, np.ndarray],
@@ -454,21 +457,17 @@ class RatingStore:
         indexes: Optional[Dict[str, "AttributeIndex"]] = None,
         lattice: Optional[CuboidLattice] = None,
     ) -> "RatingStore":
-        """Assemble a snapshot from pre-built columns (the compaction path).
+        """Assemble a snapshot from pre-built parts (the compaction path).
 
         Bypasses ``__init__``'s full pre-processing: the incremental
         compactor already produced every column, the item index, any
         delta-updated attribute indexes and the delta-merged cuboid lattice,
-        so nothing is recomputed here.
+        so nothing is recomputed here.  The base columns are the dataset's.
         """
         store = object.__new__(cls)
-        store.dataset = dataset
+        store._adopt_dataset(dataset)
         store.grouping_attributes = tuple(grouping_attributes)
         store.epoch = int(epoch)
-        store._item_ids = item_ids
-        store._reviewer_ids = reviewer_ids
-        store._scores = scores
-        store._timestamps = timestamps
         store._positions_by_item = positions_by_item
         store._attribute_codes = attribute_codes
         store._vocabularies = vocabularies

@@ -17,7 +17,6 @@ from .statistics import GroupStatistics, compare_groups, group_statistics
 from .drilldown import CityAggregate, DrillDown
 from .timeline import GroupTrendPoint, TimelineExplorer, TimelineSlice
 from .session import ExplorationSession
-from .insights import Insight, render_insights, summarize
 
 __all__ = [
     "GroupStatistics",
@@ -29,7 +28,4 @@ __all__ = [
     "TimelineExplorer",
     "TimelineSlice",
     "ExplorationSession",
-    "Insight",
-    "render_insights",
-    "summarize",
 ]

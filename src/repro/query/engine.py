@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import MAXYEAR, MINYEAR, datetime, timezone
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..data.model import Item, RatingDataset
@@ -36,7 +36,16 @@ class TimeInterval:
 
     @classmethod
     def for_years(cls, start_year: int, end_year: int) -> "TimeInterval":
-        """Interval spanning whole calendar years (UTC)."""
+        """Interval spanning whole calendar years (UTC).
+
+        Raises :class:`QueryError` for a year ``datetime`` cannot represent
+        (outside ``[MINYEAR, MAXYEAR]``), so the API answers 400, not 500.
+        """
+        for year in (start_year, end_year):
+            if not MINYEAR <= year <= MAXYEAR:
+                raise QueryError(
+                    f"year {year} is outside the supported range [{MINYEAR}, {MAXYEAR}]"
+                )
         start = int(datetime(start_year, 1, 1, tzinfo=timezone.utc).timestamp())
         end = int(
             datetime(end_year, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()

@@ -1311,7 +1311,7 @@ class JsonApi:
     def handle_timeline(self, params: Mapping[str, str]) -> dict:
         """``timeline``: per-year interpretations of a query."""
         query = self._require(params, "q")
-        min_ratings = self._int_param(params, "min_ratings", 20)
+        min_ratings = self._int_param(params, "min_ratings", 20, minimum=0)
         slices = self.system.timeline(query, min_ratings=min_ratings)
         return {"slices": [s.to_dict() for s in slices]}
 
@@ -1327,7 +1327,7 @@ class JsonApi:
         """``geo_summary``: per-state rating aggregates of a selection."""
         query = params.get("q") or None
         interval = self._interval_from(params)
-        min_size = self._int_param(params, "min_size", 1)
+        min_size = self._int_param(params, "min_size", 1, minimum=0)
         return self.system.geo_summary(
             query, time_interval=interval, min_size=min_size
         )
@@ -1338,7 +1338,7 @@ class JsonApi:
         region = params.get("region") or None
         by = params.get("by", "city")
         interval = self._interval_from(params)
-        min_size = self._int_param(params, "min_size", 1)
+        min_size = self._int_param(params, "min_size", 1, minimum=0)
         return self.system.geo_drilldown(
             region=region,
             by=by,

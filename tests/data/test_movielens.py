@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.data.movielens import (
@@ -110,7 +111,20 @@ class TestErrorHandling:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "ratings.dat"
         path.write_text("1::10::4::1000\n\n2::10::3::2000\n", encoding="latin-1")
-        assert len(load_ratings_file(path)) == 2
+        item_ids, reviewer_ids, scores, timestamps = load_ratings_file(path)
+        assert item_ids.tolist() == [10, 10]
+        assert reviewer_ids.tolist() == [1, 2]
+        assert scores.tolist() == [4.0, 3.0]
+        assert timestamps.tolist() == [1000, 2000]
+        assert [column.dtype for column in (item_ids, reviewer_ids, scores, timestamps)] == [
+            np.int64, np.int64, np.float64, np.int64
+        ]
+
+    def test_ratings_field_count_error_names_the_line(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::10::4::1000\n\n2::10::3\n", encoding="latin-1")
+        with pytest.raises(DatasetFormatError, match=r"^ratings\.dat:3: expected 4 fields, got 3$"):
+            load_ratings_file(path)
 
     def test_movies_parse_genres(self, tmp_path):
         path = tmp_path / "movies.dat"

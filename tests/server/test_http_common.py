@@ -495,6 +495,40 @@ class TestRequestRouterRateLimit:
             assert router.handle(HttpRequest("GET", "/api/store_stats")).status == 200
 
 
+class TestRequestRouterBadParameters:
+    """Parameters the engine cannot honour are the client's fault: 400, not 500."""
+
+    @pytest.mark.parametrize("year", ["0", "99999"])
+    @pytest.mark.parametrize(
+        "target",
+        [
+            '/api/explain?q=title:"Toy Story"',
+            '/api/geo_summary?q=title:"Toy Story"',
+            "/api/geo_drilldown?region=CA&by=city",
+            '/api/geo_explain?q=title:"Toy Story"&region=CA',
+            '/choropleth?q=title:"Toy Story"',
+        ],
+    )
+    def test_out_of_range_year_is_a_400(self, tiny_system, target, year):
+        router = _router(tiny_system)
+        response = router.handle(HttpRequest("GET", f"{target}&start_year={year}"))
+        assert response.status == 400
+        assert "outside the supported range" in _body(response)["error"]
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            '/api/timeline?q=title:"Toy Story"&min_ratings=-1',
+            '/api/geo_summary?q=title:"Toy Story"&min_size=-1',
+            "/api/geo_drilldown?region=CA&by=city&min_size=-1",
+        ],
+    )
+    def test_negative_minimum_is_a_400(self, tiny_system, target):
+        response = _router(tiny_system).handle(HttpRequest("GET", target))
+        assert response.status == 400
+        assert "must be at least 0" in _body(response)["error"]
+
+
 class TestRequestRouterAdmission:
     def test_overloaded_response_is_a_503_with_retry_after(self, tiny_system):
         router = _router(tiny_system, max_inflight=1)

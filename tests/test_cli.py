@@ -90,6 +90,12 @@ class TestExplain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("year", ["0", "99999"])
+    def test_out_of_range_year_is_an_error_exit(self, capsys, year):
+        code, _ = _run(["explain", *BASE, "--query", 'title:"Toy Story"', "--start-year", year])
+        assert code == 2
+        assert "outside the supported range" in capsys.readouterr().err
+
     def test_year_restriction_is_applied(self):
         code, text = _run(
             [
