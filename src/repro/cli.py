@@ -172,24 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "endpoint (breaches get 429 + Retry-After); use '*=RPS' as the "
         "default for all endpoints; repeatable",
     )
-    serve.add_argument(
-        "--cuboid-lattice",
-        action="store_true",
-        default=None,
-        help="materialise the cuboid lattice at startup (and carry it "
-        "across compactions incrementally), so cold explain/geo_explain "
-        "candidates come from precomputed cells instead of a recursive "
-        "enumeration; results are bit-identical either way (omitted: the "
-        "MAPRAT_USE_LATTICE=1 environment hook decides, default off)",
-    )
-    serve.add_argument(
-        "--lattice-budget-mb",
-        type=int,
-        default=512,
-        help="memory budget for the materialised lattice in MiB; when the "
-        "estimate or the built lattice exceeds it the server falls back "
-        "to plain enumeration (default: 512)",
-    )
 
     return parser
 
@@ -322,7 +304,6 @@ def _parse_rate_limits(entries: Optional[Sequence[str]]) -> tuple:
 
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
-    dataset = _load_dataset(args)
     config = PipelineConfig(
         mining=_mining_config(args),
         server=ServerConfig(
@@ -336,11 +317,13 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             max_inflight=args.max_inflight,
             rate_limits=_parse_rate_limits(args.rate_limit),
             api_keys=tuple(args.api_key or ()),
-            use_cuboid_lattice=args.cuboid_lattice,
-            lattice_budget_mb=args.lattice_budget_mb,
         ),
     )
-    server = run_server(dataset, config, host=args.host, port=args.port, warm_up=args.warm_up)
+    # No local keeps the loaded dataset: once the first compaction replaces
+    # the store's rating columns, nothing may pin the starting epoch's.
+    server = run_server(
+        _load_dataset(args), config, host=args.host, port=args.port, warm_up=args.warm_up
+    )
     print(f"MapRat serving at {server.url} (Ctrl-C to stop)", file=out)
     try:
         server.serve_forever()

@@ -11,7 +11,6 @@ as part of cache keys by :mod:`repro.server.cache`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -222,18 +221,6 @@ class ServerConfig:
             bodies are rejected with 413 before a byte is read, so a
             hostile Content-Length cannot buffer unbounded data.  0
             disables the cap.
-        use_cuboid_lattice: materialise the cuboid lattice
-            (:mod:`repro.data.lattice`) at startup and carry it across
-            compactions, so cold ``explain``/``geo_explain`` candidates come
-            from precomputed cells instead of a recursive enumeration.
-            ``None`` (default) resolves from the ``MAPRAT_USE_LATTICE=1``
-            environment hook — the lever the golden-lattice CI lane flips —
-            and otherwise stays off.
-        lattice_budget_mb: memory budget for the materialised lattice in
-            MiB.  When the pre-build estimate or the built lattice's
-            resident size exceeds it, the server falls back to plain
-            enumeration (the lattice is simply not attached) instead of
-            holding an oversized structure resident.
     """
 
     cache_capacity: int = 256
@@ -257,18 +244,8 @@ class ServerConfig:
     rate_limits: Sequence[tuple] = ()
     api_keys: Sequence[str] = ()
     max_body_bytes: int = 1 << 20
-    use_cuboid_lattice: bool | None = None
-    lattice_budget_mb: int = 512
 
     def __post_init__(self) -> None:
-        if self.use_cuboid_lattice is None:
-            object.__setattr__(
-                self,
-                "use_cuboid_lattice",
-                os.environ.get("MAPRAT_USE_LATTICE", "") == "1",
-            )
-        if self.lattice_budget_mb < 1:
-            raise ConstraintError("lattice_budget_mb must be at least 1")
         if self.cache_capacity < 1:
             raise ConstraintError("cache_capacity must be at least 1")
         if self.mining_backend not in ("thread", "process"):

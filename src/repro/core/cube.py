@@ -29,28 +29,16 @@ Two equivalent implementations are provided:
 
 Both walk the lattice in the same order and materialise groups through the
 same :meth:`Group.from_positions`, so their outputs are bit-identical.
-
-A third path short-circuits the walk entirely when the slice's store carries
-a **materialised cuboid lattice** (:mod:`repro.data.lattice`): every
-candidate is a *cell* of some cuboid, so enumeration reduces to reading the
-precomputed cells, filtering on support (a vectorised comparison — support
-pruning without recursion) and emitting them in DFS pre-order, which equals
-the lexicographic order of the padded ``(attribute, code)`` sequences (one
-``np.lexsort``).  Emission goes through the same ``Group.from_positions``
-with identical ascending positions, so the output is bit-identical to both
-walks; ``use_lattice=False`` keeps the DFS as the always-available reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..config import GEO_ATTRIBUTE, MiningConfig
-from ..data.lattice import LatticeHint
 from ..data.storage import RatingSlice
 from ..errors import MiningError
 from .groups import Group, GroupDescriptor
@@ -99,7 +87,6 @@ class CandidateEnumerator:
         require_geo_anchor: bool = False,
         geo_attribute: str = GEO_ATTRIBUTE,
         use_kernel: bool = True,
-        use_lattice: bool = True,
     ) -> None:
         if max_description_length < 1:
             raise MiningError("max_description_length must be at least 1")
@@ -112,10 +99,6 @@ class CandidateEnumerator:
         self.require_geo_anchor = require_geo_anchor
         self.geo_attribute = geo_attribute
         self.use_kernel = use_kernel
-        # Take the materialised-lattice fast path when the slice carries a
-        # hint (i.e. the store built a lattice); ``False`` pins the DFS as
-        # the bit-identical reference for the differential batteries.
-        self.use_lattice = use_lattice
         if require_geo_anchor and geo_attribute not in self.grouping_attributes:
             raise MiningError(
                 f"geo anchoring requires {geo_attribute!r} among the grouping attributes"
@@ -158,14 +141,7 @@ class CandidateEnumerator:
         counters = _RunCounters()
         if self.rating_slice.is_empty():
             return [], EnumerationStats(0, 0, 0)
-        hint = getattr(self.rating_slice, "lattice_hint", None)
-        if self.use_lattice and hint is not None:
-            # Materialised-lattice fast path: candidates are read out of (or
-            # scanned into) precomputed cuboid cells — no recursive walk.
-            # ``explored`` counts cells examined, ``pruned_by_support`` the
-            # cells a vectorised support filter dropped.
-            groups = self._enumerate_lattice(hint, counters)
-        elif self.use_kernel:
+        if self.use_kernel:
             # The kernel applies the geo filter at emission time (skipping the
             # materialisation of groups the filter would drop); the naive
             # reference keeps the historical post-hoc filter.  Same output.
@@ -260,262 +236,6 @@ class CandidateEnumerator:
                 self._extend_kernel(
                     extended, child_rows, next_index + 1, tables, out, counters
                 )
-
-    # -- materialised-lattice fast path --------------------------------------------
-
-    def _lattice_subsets(self) -> List[Tuple[int, ...]]:
-        """Attribute-index combinations whose cells the DFS would emit.
-
-        Every candidate descriptor uses between 1 and
-        ``max_description_length`` distinct attributes; with a geo anchor
-        required, combinations without the anchor attribute produce nothing
-        and are skipped outright (the DFS recurses through them but filters
-        their emissions — same output either way).
-        """
-        n = len(self.grouping_attributes)
-        max_len = min(self.max_description_length, n)
-        geo_index = (
-            self.grouping_attributes.index(self.geo_attribute)
-            if self.require_geo_anchor
-            else None
-        )
-        return [
-            combo
-            for size in range(1, max_len + 1)
-            for combo in itertools.combinations(range(n), size)
-            if geo_index is None or geo_index in combo
-        ]
-
-    def _lattice_mode(self, hint: LatticeHint, subsets: List[Tuple[int, ...]]) -> str:
-        """Pick the cell source: ``direct``, ``restrict`` or ``scan``.
-
-        ``direct``/``restrict`` read precomputed cuboids and need every
-        required combination materialised with vocabulary sizes matching the
-        slice; anything else (missing cuboid, stale dims, arbitrary subset
-        slice) falls back to ``scan``, which groups the slice's own code
-        columns and needs no lattice data at all.
-        """
-        lattice = hint.lattice
-        if hint.whole_store and len(self.rating_slice) == lattice.num_rows:
-            mode = "direct"
-            extra: Tuple[str, ...] = ()
-        elif (
-            hint.restrict_attribute is not None
-            and hint.restrict_code is not None
-            and hint.store_positions is not None
-            and len(self.rating_slice) == int(hint.store_positions.shape[0])
-        ):
-            mode = "restrict"
-            extra = (hint.restrict_attribute,)
-        else:
-            return "scan"
-        for subset in subsets:
-            attrs = {self.grouping_attributes[i] for i in subset} | set(extra)
-            cub = lattice.cells_for(attrs)
-            if cub is None:
-                return "scan"
-            dims = tuple(
-                int(self.rating_slice.vocabulary(a).shape[0]) for a in cub.attributes
-            )
-            if dims != cub.dims:
-                return "scan"
-        return mode
-
-    def _memo_key(self, mode: str, hint: LatticeHint) -> Optional[Tuple]:
-        """Memo key of this enumeration on the lattice, or ``None``.
-
-        ``direct`` and ``restrict`` slices are fully determined by the store
-        epoch (the lattice's lifetime) plus the restriction value, so their
-        materialised candidate lists are memoised on the lattice and every
-        later cold request for the same parameters is a dictionary lookup.
-        ``scan`` slices are arbitrary row subsets with no cheap identity —
-        they always recompute.
-        """
-        if mode == "direct":
-            anchor: Tuple = ()
-        elif mode == "restrict":
-            anchor = (hint.restrict_attribute, int(hint.restrict_code))
-        else:
-            return None
-        return (
-            mode,
-            anchor,
-            self.grouping_attributes,
-            self.max_description_length,
-            self.min_support,
-            self.require_geo_anchor,
-            self.geo_attribute,
-        )
-
-    @staticmethod
-    def _gather_segments(
-        source: np.ndarray, starts: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Concatenate ``source[starts[i]:starts[i]+counts[i]]`` segments."""
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=source.dtype)
-        out_starts = np.zeros(counts.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=out_starts[1:])
-        take = np.repeat(starts - out_starts, counts)
-        take += np.arange(total, dtype=np.int64)
-        return source[take]
-
-    def _lattice_cells(
-        self,
-        subset: Tuple[int, ...],
-        hint: LatticeHint,
-        mode: str,
-        vocabs: List[np.ndarray],
-        nonempty: List[np.ndarray],
-        counters: _RunCounters,
-    ) -> Optional[Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
-        """Admissible cells of one attribute combination.
-
-        Returns ``(subset, keys, offsets, rows)`` where ``keys[i]`` are the
-        value codes of cell ``i`` (columns in ``subset`` order), and
-        ``rows[offsets[i]:offsets[i+1]]`` its ascending slice-row positions —
-        or ``None`` when no cell survives.  Support pruning is the vectorised
-        ``counts >= min_support`` filter; empty-string values are dropped the
-        same way the DFS's admissibility tables drop them (cell support below
-        a value's slice support makes the rest of that filter redundant).
-        """
-        attrs = [self.grouping_attributes[i] for i in subset]
-        if mode == "scan":
-            columns = [
-                self.rating_slice.codes_for(a).astype(np.int64, copy=False)
-                for a in attrs
-            ]
-            dims = tuple(int(vocabs[i].shape[0]) for i in subset)
-            lin = np.ravel_multi_index(tuple(columns), dims).astype(np.int64)
-            order = np.argsort(lin, kind="stable").astype(np.int64, copy=False)
-            cells, counts = np.unique(lin, return_counts=True)
-            keys = np.stack(np.unravel_index(cells, dims), axis=1).astype(np.int64)
-            positions = order
-            starts_all = np.zeros(counts.shape[0], dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts_all[1:])
-            to_slice_rows = None
-        else:
-            lattice = hint.lattice
-            extra = () if mode == "direct" else (hint.restrict_attribute,)
-            cub = lattice.cells_for(set(attrs) | set(extra))
-            perm = [cub.attributes.index(a) for a in attrs]
-            if mode == "direct":
-                picked = np.arange(cub.num_cells, dtype=np.int64)
-            else:
-                anchor = cub.attributes.index(hint.restrict_attribute)
-                picked = np.flatnonzero(
-                    cub.keys[:, anchor] == np.int32(hint.restrict_code)
-                )
-            counts = cub.counts[picked]
-            keys = cub.keys[picked][:, perm].astype(np.int64)
-            positions = cub.positions
-            starts_all = cub.offsets[:-1][picked]
-            to_slice_rows = hint.store_positions if mode == "restrict" else None
-        num_cells = int(counts.shape[0])
-        supported = counts >= self.min_support
-        counters.explored += num_cells
-        counters.pruned += num_cells - int(supported.sum())
-        sel = supported
-        for j, attr_index in enumerate(subset):
-            sel = sel & nonempty[attr_index][keys[:, j]]
-        picked_cells = np.flatnonzero(sel)
-        if picked_cells.shape[0] == 0:
-            return None
-        sel_counts = counts[picked_cells].astype(np.int64, copy=False)
-        rows = self._gather_segments(positions, starts_all[picked_cells], sel_counts)
-        if to_slice_rows is not None:
-            # Store-row positions → slice-row positions: the slice is exactly
-            # the restricted rows in ascending order, so the map is one
-            # searchsorted (monotone — per-cell ascending order survives).
-            rows = np.searchsorted(to_slice_rows, rows)
-        offsets = np.zeros(picked_cells.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sel_counts, out=offsets[1:])
-        return subset, keys[picked_cells], offsets, rows
-
-    def _enumerate_lattice(self, hint: LatticeHint, counters: _RunCounters) -> List[Group]:
-        """Enumerate candidates from materialised (or scanned) cuboid cells.
-
-        The DFS emits a candidate when it appends the descriptor's last
-        attribute/value pair, so its emission order is the lexicographic
-        order of the descriptors' ``(attribute index, code)`` sequences with
-        prefixes first.  Padding every sequence to the maximum length with a
-        ``-1`` sentinel (real entries are non-negative) turns that into a
-        plain ``np.lexsort`` — cells from every combination are emitted in
-        exactly the DFS order, bit for bit.
-        """
-        subsets = self._lattice_subsets()
-        if not subsets:
-            return []
-        mode = self._lattice_mode(hint, subsets)
-        memo_key = self._memo_key(mode, hint)
-        if memo_key is not None:
-            cached = hint.lattice.candidate_memo.get(memo_key)
-            if cached is not None:
-                groups, explored, pruned = cached
-                counters.explored += explored
-                counters.pruned += pruned
-                return list(groups)
-        vocabs = [self.rating_slice.vocabulary(a) for a in self.grouping_attributes]
-        nonempty = [
-            np.array([bool(value) for value in vocab.tolist()], dtype=bool)
-            for vocab in vocabs
-        ]
-        entries = []
-        for subset in subsets:
-            entry = self._lattice_cells(subset, hint, mode, vocabs, nonempty, counters)
-            if entry is not None:
-                entries.append(entry)
-        if not entries:
-            return []
-        max_len = max(len(entry[0]) for entry in entries)
-        encoded_blocks: List[np.ndarray] = []
-        entry_of_parts: List[np.ndarray] = []
-        local_of_parts: List[np.ndarray] = []
-        for entry_index, (subset, keys, _, _) in enumerate(entries):
-            encoded = np.full((keys.shape[0], max_len), -1, dtype=np.int64)
-            for j, attr_index in enumerate(subset):
-                encoded[:, j] = (np.int64(attr_index) << np.int64(32)) | keys[:, j]
-            encoded_blocks.append(encoded)
-            entry_of_parts.append(
-                np.full(keys.shape[0], entry_index, dtype=np.int64)
-            )
-            local_of_parts.append(np.arange(keys.shape[0], dtype=np.int64))
-        encoded_all = np.concatenate(encoded_blocks)
-        entry_of = np.concatenate(entry_of_parts)
-        local_of = np.concatenate(local_of_parts)
-        # np.lexsort sorts by its *last* key first; feed columns reversed so
-        # column 0 (the first attribute/value pair) is the primary key.
-        order = np.lexsort(tuple(encoded_all[:, j] for j in range(max_len - 1, -1, -1)))
-        # Descriptors are value objects: building each one directly from its
-        # final pair tuple equals the DFS's incremental with_pair chain (the
-        # constructor normalises by sorting) at a fraction of the cost.
-        value_lists = [vocab.tolist() for vocab in vocabs]
-        names = self.grouping_attributes
-        groups: List[Group] = []
-        for rank in order.tolist():
-            subset, keys, offsets, rows = entries[int(entry_of[rank])]
-            cell = int(local_of[rank])
-            segment = rows[int(offsets[cell]) : int(offsets[cell + 1])]
-            descriptor = GroupDescriptor(
-                tuple(
-                    (names[attr_index], value_lists[attr_index][int(keys[cell, j])])
-                    for j, attr_index in enumerate(subset)
-                )
-            )
-            groups.append(Group.from_positions(descriptor, self.rating_slice, segment))
-        if memo_key is not None:
-            # First materialisation of this (slice, parameters) pair this
-            # epoch: remember it on the lattice so subsequent cold requests
-            # are pure lookups.  Groups are immutable value objects (their
-            # packed-bits cache is idempotent), mirroring how the result
-            # cache already shares whole MiningResults across requests.
-            hint.lattice.candidate_memo[memo_key] = (
-                tuple(groups),
-                counters.explored,
-                counters.pruned,
-            )
-        return groups
 
     # -- naive reference ----------------------------------------------------------
 

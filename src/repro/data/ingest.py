@@ -38,14 +38,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import MAXYEAR, MINYEAR, datetime, timezone
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import IngestError, MapRatError
+from ..errors import IngestError, MapRatError, SchemaError
 from ..geo.zipcodes import ZipResolver
-from .lattice import CuboidLattice
 from .model import Rating, RatingDataset, Reviewer
+from .schema import age_group_for
 from .storage import AttributeIndex, RatingStore
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "CompactionDelta",
     "CompactionResult",
     "LiveStore",
+    "checked_rating",
     "compact_snapshot",
     "rating_from_dict",
     "reviewer_from_dict",
@@ -62,17 +64,49 @@ __all__ = [
 ACCEPTED = "accepted"
 DUPLICATE = "duplicate"
 
+#: Timestamps an ingested rating may carry: UTC years ``MINYEAR``–``MAXYEAR``,
+#: the span ``TimeInterval.for_years`` (and so the timeline) can represent.
+TIMESTAMP_RANGE = (
+    int(datetime(MINYEAR, 1, 1, tzinfo=timezone.utc).timestamp()),
+    int(datetime(MAXYEAR, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()),
+)
+
+_INT64 = np.iinfo(np.int64)
+
 
 def _rating_key(rating: Rating) -> Tuple[int, int, float, int]:
     return (rating.item_id, rating.reviewer_id, float(rating.score), rating.timestamp)
+
+
+def checked_rating(rating: Rating) -> Rating:
+    """Return ``rating`` if its reviewer id and timestamp fit the store.
+
+    The ingest request boundary's range check, shared by
+    :meth:`~repro.server.api.MapRat.ingest` and :func:`rating_from_dict`.  A
+    reviewer id outside int64 (a new reviewer's is never looked up) or a
+    timestamp outside :data:`TIMESTAMP_RANGE` would otherwise be journaled
+    and buffered, then fail the next compaction — and every recovery after
+    it — or every later timeline of its item.  WAL replay does not call it.
+    Raises :class:`IngestError`.
+    """
+    if not _INT64.min <= rating.reviewer_id <= _INT64.max:
+        raise IngestError(f"reviewer_id {rating.reviewer_id} does not fit in 64 bits")
+    low, high = TIMESTAMP_RANGE
+    if not low <= rating.timestamp <= high:
+        raise IngestError(
+            f"rating timestamp {rating.timestamp} is outside [{low}, {high}] "
+            f"(UTC years {MINYEAR}-{MAXYEAR})"
+        )
+    return rating
 
 
 def rating_from_dict(payload: Mapping) -> Rating:
     """Parse one ingest payload entry into a :class:`Rating`.
 
     Required keys: ``item_id``, ``reviewer_id``, ``score``; optional
-    ``timestamp`` (default 0).  Raises :class:`IngestError` on missing or
-    malformed fields — the JSON layer maps that to a 400.
+    ``timestamp`` (default 0).  Raises :class:`IngestError` on missing,
+    malformed or out-of-range fields (see :func:`checked_rating`) — the JSON
+    layer maps that to a 400.
     """
     if not isinstance(payload, Mapping):
         raise IngestError(f"rating entry must be an object, got {type(payload).__name__}")
@@ -82,13 +116,15 @@ def rating_from_dict(payload: Mapping) -> Rating:
         score = float(payload["score"])
     except KeyError as exc:
         raise IngestError(f"rating entry is missing required field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"malformed rating entry: {exc}") from exc
     try:
         timestamp = int(payload.get("timestamp", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError("rating timestamp must be an integer") from exc
-    return Rating(item_id=item_id, reviewer_id=reviewer_id, score=score, timestamp=timestamp)
+    return checked_rating(
+        Rating(item_id=item_id, reviewer_id=reviewer_id, score=score, timestamp=timestamp)
+    )
 
 
 def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> Reviewer:
@@ -97,6 +133,8 @@ def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> R
     Required keys: ``gender``, ``age``, ``occupation``, ``zipcode`` (plus
     ``reviewer_id`` unless supplied by the caller).  ``state``/``city`` are
     optional; blank values are resolved from the zip code at registration.
+    An age with no age band (below 1) is an :class:`IngestError`: accepted,
+    it would fail the next compaction and every recovery after it.
     """
     if not isinstance(payload, Mapping):
         raise IngestError(f"reviewer entry must be an object, got {type(payload).__name__}")
@@ -110,8 +148,12 @@ def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> R
         raise IngestError(
             f"reviewer entry is missing required field {exc.args[0]!r}"
         ) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"malformed reviewer entry: {exc}") from exc
+    try:
+        age_group_for(age)
+    except SchemaError as exc:
+        raise IngestError(str(exc)) from exc
     return Reviewer(
         reviewer_id=rid,
         gender=gender,
@@ -475,14 +517,10 @@ def compact_snapshot(
     * the per-item inverted index receives appends only for touched items,
     * every :class:`~repro.data.storage.AttributeIndex` already built on the
       old snapshot is delta-updated (scatter + delta bincounts + bitset
-      extension) instead of rebuilt,
-    * an attached :class:`~repro.data.lattice.CuboidLattice` is carried
-      forward the same way — per-cuboid delta merges driven by the very
-      remaps and delta code columns computed for the indexes.
+      extension) instead of rebuilt.
 
     ``use_incremental=False`` rebuilds the store from the merged dataset —
-    the reference the differential battery compares against (the lattice is
-    rebuilt from scratch on that path too, when the old snapshot carried one).
+    the reference the differential battery compares against.
     """
     base_rows = len(snapshot)
     delta_item_ids = np.array([r.item_id for r in ratings], dtype=np.int64)
@@ -518,16 +556,6 @@ def compact_snapshot(
             grouping_attributes=snapshot.grouping_attributes,
             epoch=snapshot.epoch + 1,
         )
-        old_lattice = snapshot.lattice()
-        if old_lattice is not None:
-            store.attach_lattice(
-                CuboidLattice.build(
-                    store,
-                    attributes=old_lattice.attributes,
-                    max_arity=old_lattice.max_arity,
-                    region_attribute=old_lattice.region_attribute,
-                )
-            )
         growth = {
             name: int(store.vocabulary_for(name).shape[0])
             - int(snapshot.vocabulary_for(name).shape[0])
@@ -607,23 +635,6 @@ def compact_snapshot(
             delta_scores,
         )
 
-    # Delta-merge the cuboid lattice with the same remaps and delta columns.
-    old_lattice = snapshot.lattice()
-    lattice = (
-        old_lattice.updated(
-            remaps,
-            {name: int(vocab.shape[0]) for name, vocab in vocabularies.items()},
-            {
-                name: codes.astype(np.int64)
-                for name, codes in delta_code_columns.items()
-            },
-            delta_scores,
-            epoch=snapshot.epoch + 1,
-        )
-        if old_lattice is not None
-        else None
-    )
-
     store = RatingStore._from_parts(
         dataset=dataset,
         grouping_attributes=snapshot.grouping_attributes,
@@ -632,7 +643,6 @@ def compact_snapshot(
         vocabularies=vocabularies,
         epoch=snapshot.epoch + 1,
         indexes=indexes,
-        lattice=lattice,
     )
     delta = CompactionDelta(
         num_rows=len(ratings),

@@ -41,7 +41,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import DataError
-from .lattice import CuboidCells, CuboidLattice
 from .model import RatingDataset
 from .storage import AttributeIndex, RatingStore
 
@@ -61,9 +60,6 @@ _BASE_COLUMNS = ("item_ids", "reviewer_ids", "scores", "timestamps")
 
 #: Names of the per-attribute index arrays, in layout order.
 _INDEX_ARRAYS = ("counts", "sums", "positives", "negatives", "joint", "bits")
-
-#: Names of the per-cuboid lattice arrays, in layout order.
-_LATTICE_ARRAYS = ("keys", "counts", "sums", "offsets", "positions")
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,10 @@ class StoreManifest:
     The manifest is small (array locations, vocabularies, attribute names) and
     picklable; the row data itself never travels through a pipe.  It is sent
     to each worker exactly once per epoch (the worker keeps an epoch-tagged
-    attach cache).
+    attach cache).  Durability snapshots pickle it too: one written by an
+    earlier release may carry fields this class no longer declares, which
+    unpickling restores into the instance ``__dict__`` and nothing reads
+    (``tests/server/test_one_copy.py::TestOldDataDirectory``).
 
     Attributes:
         segment: name of the shared-memory segment holding every array.
@@ -112,14 +111,6 @@ class StoreManifest:
             :class:`~repro.data.storage.AttributeIndex` (six arrays each),
             keyed by attribute name.
         index_rows: ``num_rows`` recorded by each exported attribute index.
-        lattice_meta: scalar fields of an attached
-            :class:`~repro.data.lattice.CuboidLattice` (attributes, arity,
-            region attribute, rows, epoch); ``None`` when the store carries
-            no lattice.  Accessed via ``getattr`` on the read side so
-            manifests pickled before this field existed still load.
-        lattice_cuboids: layout of every cuboid's five arrays, keyed by the
-            cuboid's attribute combination.
-        lattice_dims: each cuboid's vocabulary sizes, keyed the same way.
     """
 
     segment: str
@@ -133,11 +124,6 @@ class StoreManifest:
     item_positions: Optional[ArrayRef] = None
     indexes: Dict[str, Dict[str, ArrayRef]] = field(default_factory=dict)
     index_rows: Dict[str, int] = field(default_factory=dict)
-    lattice_meta: Optional[Dict[str, object]] = None
-    lattice_cuboids: Dict[Tuple[str, ...], Dict[str, ArrayRef]] = field(
-        default_factory=dict
-    )
-    lattice_dims: Dict[Tuple[str, ...], Tuple[int, ...]] = field(default_factory=dict)
 
 
 def _aligned(offset: int) -> int:
@@ -223,24 +209,6 @@ def _pack_store(store: RatingStore, layout: _Layout) -> Dict[str, object]:
             for array_name in _INDEX_ARRAYS
         }
         index_rows[name] = index.num_rows
-    lattice = store.lattice()
-    lattice_meta: Optional[Dict[str, object]] = None
-    lattice_cuboids: Dict[Tuple[str, ...], Dict[str, ArrayRef]] = {}
-    lattice_dims: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-    if lattice is not None:
-        lattice_meta = {
-            "attributes": tuple(lattice.attributes),
-            "max_arity": lattice.max_arity,
-            "region_attribute": lattice.region_attribute,
-            "num_rows": lattice.num_rows,
-            "epoch": lattice.epoch,
-        }
-        for combo, cuboid in lattice.cuboids.items():
-            lattice_cuboids[combo] = {
-                array_name: layout.reserve(getattr(cuboid, array_name))
-                for array_name in _LATTICE_ARRAYS
-            }
-            lattice_dims[combo] = cuboid.dims
     return {
         "num_rows": len(store),
         "grouping_attributes": tuple(store.grouping_attributes),
@@ -251,9 +219,6 @@ def _pack_store(store: RatingStore, layout: _Layout) -> Dict[str, object]:
         "item_positions": item_positions,
         "indexes": indexes,
         "index_rows": index_rows,
-        "lattice_meta": lattice_meta,
-        "lattice_cuboids": lattice_cuboids,
-        "lattice_dims": lattice_dims,
     }
 
 
@@ -309,27 +274,6 @@ def _store_from_buffer(
         )
         for name, refs in manifest.indexes.items()
     }
-    # getattr: manifests pickled before the lattice fields existed (old
-    # durability snapshots) re-assemble as lattice-free stores.
-    lattice_meta = getattr(manifest, "lattice_meta", None)
-    lattice = None
-    if lattice_meta is not None:
-        cuboids = {
-            combo: CuboidCells(
-                combo,
-                manifest.lattice_dims[combo],
-                *(_view(buffer, refs[array_name]) for array_name in _LATTICE_ARRAYS),
-            )
-            for combo, refs in manifest.lattice_cuboids.items()
-        }
-        lattice = CuboidLattice(
-            attributes=tuple(lattice_meta["attributes"]),
-            max_arity=int(lattice_meta["max_arity"]),
-            region_attribute=str(lattice_meta["region_attribute"]),
-            num_rows=int(lattice_meta["num_rows"]),
-            epoch=int(lattice_meta["epoch"]),
-            cuboids=cuboids,
-        )
     return RatingStore._from_parts(
         dataset=dataset,
         grouping_attributes=manifest.grouping_attributes,
@@ -340,7 +284,6 @@ def _store_from_buffer(
         vocabularies=vocabularies,
         epoch=manifest.epoch,
         indexes=indexes,
-        lattice=lattice,
     )
 
 

@@ -27,7 +27,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from ..errors import DataError, EmptyRatingSetError
-from .lattice import CuboidLattice, LatticeHint
 from .model import RatingDataset, Reviewer
 
 
@@ -249,11 +248,6 @@ class RatingSlice:
             attribute's vocabulary (the mining kernel's working columns).
         vocabularies: mapping attribute name → sorted array of distinct
             string values; ``vocabulary[code]`` recovers the string.
-        lattice_hint: how this slice relates to the store's materialised
-            cuboid lattice.  Only the whole-store and region slices carry a
-            hint (the shapes where lattice lookups beat the DFS kernel);
-            item selections and restrictions stay on the kernel.  See
-            :class:`~repro.data.lattice.LatticeHint`.
     """
 
     item_ids: np.ndarray
@@ -263,7 +257,6 @@ class RatingSlice:
     attribute_columns: Mapping[str, np.ndarray] = field(default_factory=dict)
     code_columns: Dict[str, np.ndarray] = field(default_factory=dict)
     vocabularies: Dict[str, np.ndarray] = field(default_factory=dict)
-    lattice_hint: Optional[LatticeHint] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.code_columns and not self.attribute_columns:
@@ -361,9 +354,6 @@ class RatingSlice:
                 timestamps=self.timestamps[mask],
                 code_columns=codes,
                 vocabularies=dict(self.vocabularies),
-                # A restricted slice is an arbitrary row subset — the DFS
-                # kernel beats the lattice's flat scan there, so the hint is
-                # dropped rather than downgraded (see LatticeHint).
             )
         columns = {
             name: col[mask] if copy_columns else col
@@ -429,7 +419,6 @@ class RatingStore:
         self._attribute_codes: Dict[str, np.ndarray] = {}
         self._vocabularies: Dict[str, np.ndarray] = {}
         self._indexes: Dict[str, AttributeIndex] = {}
-        self._lattice: Optional[CuboidLattice] = None
         self._index_lock = threading.Lock()
         self._build_attribute_columns()
 
@@ -455,14 +444,13 @@ class RatingStore:
         vocabularies: Dict[str, np.ndarray],
         epoch: int,
         indexes: Optional[Dict[str, "AttributeIndex"]] = None,
-        lattice: Optional[CuboidLattice] = None,
     ) -> "RatingStore":
         """Assemble a snapshot from pre-built parts (the compaction path).
 
         Bypasses ``__init__``'s full pre-processing: the incremental
-        compactor already produced every column, the item index, any
-        delta-updated attribute indexes and the delta-merged cuboid lattice,
-        so nothing is recomputed here.  The base columns are the dataset's.
+        compactor already produced every column, the item index and any
+        delta-updated attribute indexes, so nothing is recomputed here.  The
+        base columns are the dataset's.
         """
         store = object.__new__(cls)
         store._adopt_dataset(dataset)
@@ -472,7 +460,6 @@ class RatingStore:
         store._attribute_codes = attribute_codes
         store._vocabularies = vocabularies
         store._indexes = dict(indexes or {})
-        store._lattice = lattice
         store._index_lock = threading.Lock()
         return store
 
@@ -594,16 +581,8 @@ class RatingStore:
         return rating_slice
 
     def slice_all(self) -> RatingSlice:
-        """Slice over every rating of the dataset.
-
-        When the store carries a cuboid lattice, the slice's hint is upgraded
-        to the whole-store mode: its rows are the store's rows in order, so
-        the enumerator can read candidate cells straight out of the lattice.
-        """
-        rating_slice = self._slice_at(np.arange(len(self), dtype=np.int64))
-        if self._lattice is not None:
-            rating_slice.lattice_hint = LatticeHint(self._lattice, whole_store=True)
-        return rating_slice
+        """Slice over every rating of the dataset."""
+        return self._slice_at(np.arange(len(self), dtype=np.int64))
 
     def slice_rows(self, positions: np.ndarray) -> RatingSlice:
         """Slice over an explicit array of row positions (ascending)."""
@@ -639,20 +618,6 @@ class RatingStore:
         """Snapshot of the attribute indexes built so far (for compaction)."""
         with self._index_lock:
             return dict(self._indexes)
-
-    # -- materialised cuboid lattice -----------------------------------------------
-
-    def lattice(self) -> Optional[CuboidLattice]:
-        """The attached cuboid lattice, or ``None`` when mining enumerates."""
-        return self._lattice
-
-    def attach_lattice(self, lattice: CuboidLattice) -> None:
-        """Attach a materialised lattice; subsequent slices carry its hint."""
-        self._lattice = lattice
-
-    def detach_lattice(self) -> None:
-        """Drop the lattice (memory-budget fallback); slices revert to DFS."""
-        self._lattice = None
 
     def vocabulary_for(self, attribute: str) -> np.ndarray:
         """Sorted vocabulary of one grouping attribute."""

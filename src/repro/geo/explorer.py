@@ -33,7 +33,6 @@ import numpy as np
 from ..config import GEO_ATTRIBUTE, MiningConfig
 from ..core.explanation import Explanation
 from ..core.miner import RatingMiner
-from ..data.lattice import LatticeHint
 from ..data.storage import RatingSlice
 from ..errors import EmptyRatingSetError, GeoError
 from .hierarchy import LocationHierarchy
@@ -375,20 +374,7 @@ class GeoExplorer:
             positions = index.positions_for(slot)
             if positions.shape[0] == 0:
                 return None
-            region_slice = self.store.slice_rows(positions)
-            lattice = self.store.lattice()
-            if lattice is not None:
-                # Region-restricted lattice mode: within-region candidates are
-                # cells of the cuboid extended by the state attribute, masked
-                # on this state's code — the enumerator maps their store rows
-                # onto this slice via ``positions`` (one searchsorted).
-                region_slice.lattice_hint = LatticeHint(
-                    lattice,
-                    restrict_attribute=GEO_ATTRIBUTE,
-                    restrict_code=slot,
-                    store_positions=positions,
-                )
-            return region_slice
+            return self.store.slice_rows(positions)
         rating_slice = self.slice_for(item_ids, time_interval)
         mask = rating_slice.mask_for(GEO_ATTRIBUTE, code)
         if not mask.any():

@@ -80,10 +80,15 @@ class ItemQuery:
 
 
 class QueryEngine:
-    """Evaluates item queries against one dataset's catalogue."""
+    """Evaluates item queries against one dataset's item catalogue.
+
+    The engine keeps the catalogue, not the dataset: items are fixed across
+    ingest epochs, while each compaction replaces the dataset's rating
+    columns, so holding the dataset would pin the starting epoch's columns.
+    """
 
     def __init__(self, dataset: RatingDataset) -> None:
-        self.dataset = dataset
+        self.items: Tuple[Item, ...] = tuple(dataset.items())
         self._title_index: Optional[Tuple[List[str], List[str]]] = None
 
     # -- parsing ------------------------------------------------------------------
@@ -110,7 +115,7 @@ class QueryEngine:
     def matching_items(self, query: Union[str, ItemPredicate, ItemQuery]) -> List[Item]:
         """All catalogue items matching the query predicate."""
         compiled = self.compile(query)
-        return [item for item in self.dataset.items() if compiled.predicate.matches(item)]
+        return [item for item in self.items if compiled.predicate.matches(item)]
 
     def matching_item_ids(
         self, query: Union[str, ItemPredicate, ItemQuery]
@@ -126,7 +131,7 @@ class QueryEngine:
         instead of a scan of the whole catalogue.
         """
         if self._title_index is None:
-            pairs = sorted({(item.title.lower(), item.title) for item in self.dataset.items()})
+            pairs = sorted({(item.title.lower(), item.title) for item in self.items})
             lowered = [low for low, _ in pairs]
             originals = [title for _, title in pairs]
             self._title_index = (lowered, originals)
@@ -148,7 +153,7 @@ class QueryEngine:
     def distinct_attribute_values(self, attribute: str, limit: int = 0) -> List[str]:
         """Distinct values of an item attribute (UI pick lists)."""
         values: set = set()
-        for item in self.dataset.items():
+        for item in self.items:
             values.update(item.attribute_values(attribute))
         ordered = sorted(values)
         return ordered[:limit] if limit else ordered

@@ -19,8 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..config import MiningConfig, PipelineConfig, VizConfig
 from ..core.explanation import Explanation, GroupExplanation, MiningResult
 from ..core.miner import RatingMiner
-from ..data.ingest import LiveStore, rating_from_dict, reviewer_from_dict
-from ..data.lattice import CuboidLattice
+from ..data.ingest import LiveStore, checked_rating, rating_from_dict, reviewer_from_dict
 from ..data.model import Item, Rating, RatingDataset, Reviewer
 from ..data.storage import RatingStore
 from ..errors import (
@@ -108,12 +107,6 @@ class MapRat:
                 auto_compact_threshold=server.auto_compact_threshold,
                 use_incremental=server.use_incremental_compaction,
             )
-        # Materialised cuboid lattice: built once over the starting snapshot
-        # (a durably recovered snapshot may already carry one) and carried
-        # forward across compactions by the incremental compactor.  Must be
-        # attached *before* the pools publish the store, so worker processes
-        # receive the lattice arrays through the shared-memory manifest.
-        self._attach_lattice_if_configured(miner.store)
         self.engine = QueryEngine(dataset)
         self.cache = ResultCache(
             capacity=server.cache_capacity,
@@ -959,13 +952,17 @@ class MapRat:
         unknown.  When the buffer reaches
         ``ServerConfig.auto_compact_threshold`` the ingest triggers a
         compaction into the next epoch; readers keep serving the previous
-        snapshot throughout.
+        snapshot throughout.  An out-of-range reviewer id or timestamp raises
+        :class:`~repro.errors.IngestError` (see
+        :func:`~repro.data.ingest.checked_rating`).
         """
-        rating = Rating(
-            item_id=int(item_id),
-            reviewer_id=int(reviewer_id),
-            score=float(score),
-            timestamp=int(timestamp),
+        rating = checked_rating(
+            Rating(
+                item_id=int(item_id),
+                reviewer_id=int(reviewer_id),
+                score=float(score),
+                timestamp=int(timestamp),
+            )
         )
         record = (
             reviewer_from_dict(reviewer, rating.reviewer_id)
@@ -1133,35 +1130,9 @@ class MapRat:
         payload.update(migration)
         return payload
 
-    def _attach_lattice_if_configured(self, store: RatingStore) -> None:
-        """Build + attach the cuboid lattice, gated by the memory budget.
-
-        Skipped entirely unless ``use_cuboid_lattice`` is on.  The pre-build
-        estimate refuses cheaply; a built (or carried/recovered) lattice that
-        still exceeds the budget is detached, falling the store back to plain
-        enumeration — the documented budget contract.
-        """
-        server = self.config.server
-        if not server.use_cuboid_lattice:
-            if store.lattice() is not None:
-                # e.g. recovered from a snapshot written with the flag on.
-                store.detach_lattice()
-            return
-        budget_bytes = int(server.lattice_budget_mb) << 20
-        if store.lattice() is None:
-            if CuboidLattice.estimate_nbytes(len(store)) > budget_bytes:
-                return
-            store.attach_lattice(CuboidLattice.build(store))
-        if store.lattice().nbytes > budget_bytes:
-            store.detach_lattice()
-
     def _build_serving(
         self, store: RatingStore, previous: ServingState, delta
     ) -> ServingState:
-        # The compactor carried the previous epoch's lattice forward (delta
-        # merges); re-check the budget — growth may have pushed it over, in
-        # which case the new epoch serves by plain enumeration.
-        self._attach_lattice_if_configured(store)
         miner = RatingMiner(store, self.config.mining)
         geo = GeoExplorer(miner, hierarchy=previous.geo.hierarchy)
         return ServingState(
@@ -1519,7 +1490,7 @@ class JsonApi:
             return default
         try:
             value = int(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServerError(
                 f"parameter {name!r} must be an integer", status=400
             ) from exc
@@ -1539,7 +1510,7 @@ class JsonApi:
             return default
         try:
             return float(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServerError(
                 f"parameter {name!r} must be a number", status=400
             ) from exc

@@ -406,7 +406,7 @@ class CacheWarmer:
         explain_region: Optional[Callable[[List[int], str, str], object]] = None,
         region_limit: int = 0,
     ) -> None:
-        self.precomputer = precomputer
+        self.precomputer: Optional[Precomputer] = precomputer
         self.explain = explain
         self.limit = limit
         self.pool = pool
@@ -461,6 +461,9 @@ class CacheWarmer:
         except BaseException as exc:  # surfaced through .error / .wait()
             self.error = exc
         finally:
+            # The server keeps its last warmer for the summary endpoint; the
+            # precomputer would pin the warmed epoch's store and dataset.
+            self.precomputer = None
             self._done.set()
 
     @property

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.data.ingest import (
+    TIMESTAMP_RANGE,
     AppendBuffer,
     LiveStore,
+    checked_rating,
     compact_snapshot,
     rating_from_dict,
     reviewer_from_dict,
@@ -112,6 +114,51 @@ class TestPayloadParsing:
             reviewer_id=9,
         )
         assert reviewer.reviewer_id == 9
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+FIRST_SECOND, LAST_SECOND = TIMESTAMP_RANGE
+
+
+class TestRangeCheck:
+    """``checked_rating`` at each edge of the int64 and calendar ranges."""
+
+    @pytest.mark.parametrize("reviewer_id,timestamp", [
+        (INT64_MIN, 0),
+        (INT64_MAX, 0),
+        (1, FIRST_SECOND),
+        (1, LAST_SECOND),
+    ])
+    def test_values_on_the_edges_are_accepted(self, reviewer_id, timestamp):
+        rating = Rating(1, reviewer_id, 4.0, timestamp)
+        assert checked_rating(rating) is rating
+
+    @pytest.mark.parametrize("reviewer_id,timestamp,field", [
+        (INT64_MIN - 1, 0, "reviewer_id"),
+        (INT64_MAX + 1, 0, "reviewer_id"),
+        (1, FIRST_SECOND - 1, "timestamp"),
+        (1, LAST_SECOND + 1, "timestamp"),
+        (1, INT64_MIN - 1, "timestamp"),
+        (1, 10**30, "timestamp"),
+    ])
+    def test_one_past_an_edge_is_an_ingest_error(self, reviewer_id, timestamp, field):
+        with pytest.raises(IngestError, match=field):
+            checked_rating(Rating(1, reviewer_id, 4.0, timestamp))
+
+    @pytest.mark.parametrize("field,value", [
+        ("reviewer_id", str(INT64_MAX + 1)),
+        ("timestamp", str(LAST_SECOND + 1)),
+    ])
+    def test_rating_from_dict_applies_the_check(self, field, value):
+        payload = {"item_id": 1, "reviewer_id": 2, "score": 4, field: value}
+        with pytest.raises(IngestError, match=field):
+            rating_from_dict(payload)
+
+    def test_rating_from_dict_keeps_values_on_the_edges(self):
+        rating = rating_from_dict(
+            {"item_id": 1, "reviewer_id": INT64_MAX, "score": 4, "timestamp": FIRST_SECOND}
+        )
+        assert (rating.reviewer_id, rating.timestamp) == (INT64_MAX, FIRST_SECOND)
 
 
 class TestVocabularyGrowth:

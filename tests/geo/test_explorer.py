@@ -1,5 +1,6 @@
 """Tests for the geo-anchored exploration and mining layer (GeoExplorer)."""
 
+import numpy as np
 import pytest
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
@@ -124,6 +125,62 @@ class TestDrilldown:
         assert explorer.drilldown(region=state.region.lower()) == explorer.drilldown(
             region=state.region
         )
+
+
+def assert_region_slices_equal_the_state_mask(explorer, store):
+    """Every state's bitset-gathered slice is the masked whole-store slice."""
+    whole = store.slice_all()
+    states = [code for code in store.vocabulary_for("state").tolist() if code]
+    assert states
+    for code in states:
+        gathered = explorer._region_slice(code, None, None)
+        expected = whole.restrict(whole.mask_for("state", code))
+        assert gathered is not None and len(gathered) == len(expected) > 0, code
+        for name in ("item_ids", "reviewer_ids", "scores", "timestamps"):
+            np.testing.assert_array_equal(
+                getattr(gathered, name), getattr(expected, name), err_msg=code
+            )
+        assert gathered.code_columns.keys() == expected.code_columns.keys()
+        for name, codes in expected.code_columns.items():
+            np.testing.assert_array_equal(gathered.code_columns[name], codes)
+            np.testing.assert_array_equal(
+                gathered.vocabulary(name), expected.vocabulary(name)
+            )
+    return states
+
+
+class TestWholeStoreRegionSlice:
+    """``_region_slice`` without a selection gathers rows from the state bitset."""
+
+    def test_every_state_at_epoch_zero(self, explorer, tiny_store):
+        assert_region_slices_equal_the_state_mask(explorer, tiny_store)
+
+    def test_every_state_after_a_compaction_adds_a_state(
+        self, tiny_dataset, mining_config
+    ):
+        config = PipelineConfig(
+            mining=mining_config,
+            server=ServerConfig(mining_workers=0, precompute_top_items=0),
+        )
+        with MapRat.for_dataset(tiny_dataset, config) as system:
+            before = assert_region_slices_equal_the_state_mask(system.geo, system.store)
+            assert "AK" not in before
+            system.ingest(
+                1, 950001, 4.0, timestamp=1000000000,
+                reviewer={"gender": "F", "age": 25, "occupation": "artist",
+                          "zipcode": "99501"},
+            )
+            system.compact()
+            after = assert_region_slices_equal_the_state_mask(system.geo, system.store)
+            assert set(after) == set(before) | {"AK"}
+            assert len(system.geo._region_slice("AK", None, None)) == 1
+
+    def test_unknown_state_is_none(self, explorer, tiny_store):
+        absent = next(
+            code for code in ALL_STATE_CODES
+            if code not in tiny_store.vocabulary_for("state").tolist()
+        )
+        assert explorer._region_slice(absent, None, None) is None
 
 
 class TestGeoMining:

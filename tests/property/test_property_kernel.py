@@ -39,7 +39,6 @@ from repro.core.rhe import (
     SelectionState,
     make_selection_state,
 )
-from repro.data.lattice import CuboidLattice
 from repro.data.model import Item, Rating, RatingDataset, Reviewer
 from repro.data.storage import RatingStore
 from repro.errors import MiningError
@@ -558,10 +557,6 @@ def _assert_pair_matches_separate(store, rating_slice, config):
         with pytest.raises(MiningError):
             miner.mine_pair(rating_slice)
         return
-    if rating_slice.lattice_hint is not None:
-        # Enumerate the pair's candidates afresh, not from the lattice memo
-        # the separate calls filled.
-        rating_slice.lattice_hint.lattice.candidate_memo.clear()
     paired = miner.mine_pair(rating_slice)
     separate_results, paired_results = solver.results[:2], solver.results[2:]
     assert len(paired_results) == 2
@@ -638,13 +633,9 @@ class TestPoolParallelEquivalence:
     ):
         rating_slice = store.slice_for_items([1])
         # mine_pair's one shared enumeration == two separate enumerations, on
-        # the plain slice and on a whole-store slice whose candidates come
-        # out of the materialised cuboid lattice.
-        store.attach_lattice(CuboidLattice.build(store))
-        hinted = store.slice_all()
-        assert hinted.lattice_hint is not None
+        # the item slice and on a whole-store slice.
         pair_config = config.with_overrides(seed=seed)
-        for target in (rating_slice, hinted):
+        for target in (rating_slice, store.slice_all()):
             _assert_pair_matches_separate(store, target, pair_config)
         _, candidates = _enumerate(rating_slice, config, True)
         if not candidates:

@@ -14,10 +14,9 @@ mine of the new snapshot, bit for bit (volatile timings stripped).
 
 Schedules grow the vocabularies (fresh reviewers with unseen zip codes, some
 in states the tiny dataset lacks), mix touched and untouched anchors, item
-and region anchors, whole-period and time-window anchors, re-warming on and
-off, and run every fourth seed with the cuboid lattice attached (carried
-across compactions by the incremental compactor).  Untouched anchors must be
-served as cache hits: a carried entry is never silently recomputed.
+and region anchors, whole-period and time-window anchors, and re-warming on
+and off.  Untouched anchors must be served as cache hits: a carried entry is
+never silently recomputed.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import MiningConfig, PipelineConfig, ServerConfig
+from repro.config import MiningConfig, PipelineConfig
 from repro.core.miner import RatingMiner
 from repro.errors import MapRatError
 from repro.geo.explorer import GeoExplorer
@@ -143,11 +142,7 @@ class TestLiveSystemEqualsFreshMining:
     @pytest.mark.parametrize("seed", range(NUM_SCHEDULES))
     def test_cached_answers_match_fresh_mining(self, tiny_dataset, seed):
         rng = np.random.default_rng(seed)
-        config = PipelineConfig(
-            mining=MINING,
-            server=ServerConfig(use_cuboid_lattice=seed % 4 == 3),
-        )
-        system = MapRat.for_dataset(tiny_dataset, config)
+        system = MapRat.for_dataset(tiny_dataset, PipelineConfig(mining=MINING))
         item_ids = [item.item_id for item in tiny_dataset.items()]
         reviewer_ids = [reviewer.reviewer_id for reviewer in tiny_dataset.reviewers()]
         next_reviewer_id = 920_000

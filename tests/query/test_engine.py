@@ -96,14 +96,14 @@ class TestCatalogueHelpers:
     def test_suggestion_limit(self, engine):
         assert len(engine.suggest_titles("S", limit=3)) <= 3
 
-    def test_suggestions_match_a_catalogue_scan(self, engine):
+    def test_suggestions_match_a_catalogue_scan(self, engine, tiny_dataset):
         """The cached lowered-title index must agree with a full naive scan."""
         for prefix in ("t", "To", "toy story", "S", "zzz-nothing", "  Toy  "):
             wanted = prefix.strip().lower()
             expected = sorted(
                 {
                     item.title
-                    for item in engine.dataset.items()
+                    for item in tiny_dataset.items()
                     if item.title.lower().startswith(wanted)
                 }
             )[:10] if wanted else []

@@ -8,11 +8,19 @@ auto-compaction threshold drives the write path end to end.
 
 from __future__ import annotations
 
+import json
+from datetime import MAXYEAR, MINYEAR
+from urllib.parse import urlencode
+
 import pytest
+from test_recovery import assert_stores_identical
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
+from repro.data.ingest import TIMESTAMP_RANGE
 from repro.errors import IngestError, ServerError
+from repro.query.engine import TimeInterval
 from repro.server.api import JsonApi, MapRat
+from repro.server.http_common import HttpRequest, RequestRouter
 
 
 @pytest.fixture()
@@ -209,3 +217,129 @@ class TestIngestEndpoints:
         info = api.dispatch("summary", {})
         assert info["serving"]["epoch"] == 1
         assert info["ratings"] == len(api.system.store)
+
+
+# -- values no store column or calendar year can hold -----------------------------
+
+NEW_REVIEWER = {"gender": "F", "age": 25, "occupation": "artist", "zipcode": "94105"}
+
+#: Each entry overrides a valid rating by an existing reviewer.  Without the
+#: range checks each was buffered and journaled; the first two timestamps,
+#: both reviewer ids and the age-0 reviewer then failed every compaction and
+#: recovery (``int64`` overflow, no age band), and the year-10000/year-0
+#: timestamps every later timeline.
+OUT_OF_RANGE = [
+    {"timestamp": 10**30},
+    {"timestamp": -(2**63) - 1},
+    {"timestamp": 253402300800},
+    {"timestamp": -62135596801},
+    {"reviewer_id": 2**63, **NEW_REVIEWER},
+    {"reviewer_id": -(2**63) - 1, **NEW_REVIEWER},
+    {"reviewer_id": 88003, **NEW_REVIEWER, "age": 0},
+]
+
+
+def _send(router, endpoint, params, how):
+    """One ingest request as a GET query string or a POST JSON body."""
+    if how == "get":
+        return router.handle(HttpRequest("GET", f"/api/{endpoint}?{urlencode(params)}"))
+    body = json.dumps(params).encode("utf-8")
+    headers = {"content-type": "application/json", "content-length": str(len(body))}
+    return router.handle(HttpRequest("POST", f"/api/{endpoint}", headers, body))
+
+
+def _bad_requests(router):
+    """Send every out-of-range value through ``ingest`` and ``ingest_batch``."""
+    statuses = []
+    for override in OUT_OF_RANGE:
+        params = {"item_id": 1, "reviewer_id": 1, "score": 4, **override}
+        for how in ("get", "post"):
+            statuses.append(_send(router, "ingest", params, how).status)
+        entry = {key: params[key] for key in ("item_id", "reviewer_id", "score")}
+        entry["timestamp"] = params.get("timestamp", 0)
+        if "gender" in params:
+            entry["reviewer"] = {key: params[key] for key in NEW_REVIEWER}
+        batch = {"ratings": [{"item_id": 1, "reviewer_id": 1, "score": 3}, entry]}
+        statuses.append(_send(router, "ingest_batch", batch, "post").status)
+    return statuses
+
+
+def _config(mining_config, data_dir=None):
+    return PipelineConfig(
+        mining=mining_config,
+        server=ServerConfig(
+            mining_workers=0,
+            precompute_top_items=0,
+            data_dir=None if data_dir is None else str(data_dir),
+        ),
+    )
+
+
+class TestOutOfRangeIngest:
+    def test_timestamp_range_is_the_supported_calendar(self):
+        assert TIMESTAMP_RANGE == TimeInterval.for_years(MINYEAR, MAXYEAR).as_tuple()
+        assert TIMESTAMP_RANGE == (-62135596800, 253402300799)
+
+    def test_each_value_is_a_400_and_buffers_nothing(self, tiny_dataset, mining_config):
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as system:
+            router = RequestRouter(system, JsonApi(system), system.config.server)
+            assert set(_bad_requests(router)) == {400}
+            # A batch is parsed whole before any entry is buffered.
+            stats = system.store_stats()
+            assert stats["buffered"] == 0 and stats["accepted_total"] == 0
+            good = {"item_id": 1, "reviewer_id": 1, "score": 5}
+            assert _send(router, "ingest", good, "get").status == 200
+            assert router.handle(HttpRequest("GET", "/api/compact")).status == 200
+            assert system.epoch == 1
+
+    def test_a_data_directory_recovers_after_the_rejected_requests(
+        self, tmp_path, tiny_dataset, mining_config
+    ):
+        config = _config(mining_config, tmp_path)
+        with MapRat.for_dataset(tiny_dataset, config) as system:
+            router = RequestRouter(system, JsonApi(system), config.server)
+            _bad_requests(router)
+            _send(router, "ingest", {"item_id": 1, "reviewer_id": 1, "score": 5}, "get")
+            assert router.handle(HttpRequest("GET", "/api/compact")).status == 200
+            _bad_requests(router)
+            _send(router, "ingest", {"item_id": 2, "reviewer_id": 1, "score": 5}, "get")
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as reference:
+            reference.ingest(1, 1, 5.0)
+            reference.compact()
+            reference.ingest(2, 1, 5.0)
+            with MapRat.for_dataset(tiny_dataset, config) as recovered:
+                report = recovered.recovery_info()["recovery"]
+                assert report["mode"] == "snapshot" and report["pending_rows"] == 1
+                assert_stores_identical(recovered.store, reference.store)
+                recovered.compact()
+                reference.compact()
+                assert_stores_identical(recovered.store, reference.store)
+
+    @pytest.mark.parametrize("timestamp", TIMESTAMP_RANGE)
+    def test_boundary_timestamps_compact_and_keep_the_timeline(
+        self, tiny_dataset, mining_config, timestamp
+    ):
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as system:
+            router = RequestRouter(system, JsonApi(system), system.config.server)
+            params = {"item_id": 1, "reviewer_id": 1, "score": 4, "timestamp": timestamp}
+            assert _send(router, "ingest", params, "get").status == 200
+            assert router.handle(HttpRequest("GET", "/api/compact")).status == 200
+            title = system.dataset.item(1).title
+            query = urlencode({"q": f'title:"{title}"'})
+            timeline = router.handle(HttpRequest("GET", f"/api/timeline?{query}"))
+            assert timeline.status == 200
+
+    def test_non_finite_and_huge_numbers_are_400s(self, tiny_dataset, mining_config):
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as system:
+            router = RequestRouter(system, JsonApi(system), system.config.server)
+            for override in (
+                {"item_id": float("inf")},
+                {"score": 10**400},
+                {"timestamp": float("inf")},
+                {"reviewer_id": 88002, **NEW_REVIEWER, "age": float("inf")},
+            ):
+                params = {"item_id": 1, "reviewer_id": 1, "score": 4, **override}
+                assert _send(router, "ingest", params, "post").status == 400, override
+                batch = {"ratings": [params]}
+                assert _send(router, "ingest_batch", batch, "post").status == 400
+            assert system.store_stats()["buffered"] == 0

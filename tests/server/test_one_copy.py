@@ -3,16 +3,22 @@
 * Loading keeps no per-rating Python object (retained bytes per rating).
 * A store shares its base columns with its dataset — after a build, after a
   compaction and after a crash recovery.
-* A data directory written before the columnar dataset (same snapshot
-  format, version 1) still recovers, to the store a never-stopped system
-  holds.
+* Once a compaction replaces the columns, nothing keeps the starting
+  dataset alive.
+* Data directories written by earlier releases (same snapshot format,
+  version 1) still recover, to the store a never-stopped system holds: one
+  from before the columnar dataset, and one whose snapshot carries the
+  arrays of the since-removed materialised cuboid lattice.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import pickle
 import shutil
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +27,10 @@ from test_recovery import assert_stores_identical
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
 from repro.core.miner import RatingMiner
+from repro.data.durability import _SNAPSHOT_HEADER
 from repro.data.model import Item, Rating, RatingDataset, Reviewer
 from repro.data.movielens import load_movielens_directory, write_movielens_directory
+from repro.data.shm import StoreManifest
 from repro.data.storage import RatingStore
 from repro.data.synthetic import generate_dataset
 from repro.errors import DataError
@@ -31,10 +39,24 @@ from repro.server.recovery import DurabilityController
 
 COLUMNS = ("item_ids", "reviewer_ids", "scores", "timestamps")
 
-#: Data directory written by the row-list dataset (snapshot format 1): see
-#: :func:`write_data_dir`, which produced it.  Never regenerate it with the
-#: current code — its point is that older bytes still recover.
-OLD_DATA_DIR = Path(__file__).parent / "fixtures" / "datadir_v1"
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Data directories written by earlier releases (snapshot format 1).  Never
+#: regenerate them with the current code — their point is that older bytes
+#: still recover.
+#:
+#: * ``datadir_v1``: written by :func:`write_data_dir` while the dataset
+#:   still held one ``Rating`` object per row.
+#: * ``datadir_lattice_v1``: written by :func:`write_data_dir` at commit
+#:   ``cf3edd7``, the last with the materialised cuboid lattice, with
+#:   ``use_cuboid_lattice=True`` added to the ``ServerConfig`` of
+#:   :func:`_old_dir_config`.  Its pickled ``StoreManifest`` carries the
+#:   since-removed lattice fields and its snapshot the 29 cuboids' arrays;
+#:   recovery must ignore both.
+OLD_DATA_DIRS = ("datadir_v1", "datadir_lattice_v1")
+
+#: ``StoreManifest`` fields of the lattice era that the class no longer has.
+LATTICE_FIELDS = {"lattice_meta", "lattice_cuboids", "lattice_dims"}
 
 
 def assert_one_copy(store: RatingStore) -> None:
@@ -86,6 +108,25 @@ class TestOneCopy:
             system.compact()
             assert system.epoch == 1
             assert_one_copy(system.store)
+
+    @pytest.mark.parametrize("warm_up", [0, 3])
+    def test_starting_dataset_is_released_after_compaction(self, mining_config, warm_up):
+        dataset = generate_dataset("tiny")
+        item_id = next(dataset.items()).item_id
+        starting = weakref.ref(dataset)
+        config = PipelineConfig(
+            mining=mining_config,
+            server=ServerConfig(mining_workers=0, precompute_top_items=0),
+        )
+        with MapRat.for_dataset(dataset, config) as system:
+            del dataset
+            if warm_up:  # as ``serve --warm-up`` does; the summary keeps the warmer
+                assert system.start_warmer(limit=warm_up).wait(60).results_precomputed
+            system.ingest(item_id, 1, 5.0, timestamp=123)
+            system.compact()
+            gc.collect()
+            assert starting() is None
+            assert system.suggest_titles("Toy")
 
     def test_after_recovery(self, tmp_path, tiny_dataset):
         build = lambda dataset: RatingMiner.build_store(dataset, MiningConfig())
@@ -254,9 +295,10 @@ def _dataset_summary(system: MapRat) -> dict:
 
 
 class TestOldDataDirectory:
-    def test_recovers_to_the_never_stopped_store(self, tmp_path):
+    @pytest.mark.parametrize("fixture", OLD_DATA_DIRS)
+    def test_recovers_to_the_never_stopped_store(self, tmp_path, fixture):
         data_dir = tmp_path / "data"
-        shutil.copytree(OLD_DATA_DIR, data_dir)
+        shutil.copytree(FIXTURES / fixture, data_dir)
         dataset = _old_dir_dataset()
         reference = MapRat(dataset, _old_dir_config(None))
         recovered = MapRat(dataset, _old_dir_config(data_dir))
@@ -276,3 +318,16 @@ class TestOldDataDirectory:
         finally:
             recovered.close()
             reference.close()
+
+    def test_lattice_fixture_manifest_carries_the_removed_fields(self):
+        raw = (
+            FIXTURES / "datadir_lattice_v1" / "snapshots" / "snapshot-00000001.snap"
+        ).read_bytes()
+        meta_len = _SNAPSHOT_HEADER.unpack_from(raw, 0)[4]
+        start = _SNAPSHOT_HEADER.size
+        manifest = pickle.loads(raw[start : start + meta_len])["manifest"]
+        assert isinstance(manifest, StoreManifest)
+        fields = {field.name for field in dataclasses.fields(StoreManifest)}
+        assert set(vars(manifest)) - fields == LATTICE_FIELDS
+        assert vars(manifest)["lattice_meta"] is not None
+        assert len(vars(manifest)["lattice_cuboids"]) == 29

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.data.synthetic import generate_dataset
 
 
 def _run(argv):
@@ -146,3 +150,32 @@ class TestExploreAndTimeline:
         years = [line.split(":")[0] for line in text.strip().splitlines()]
         assert set(years) <= {"2000", "2001", "2002", "2003"}
         assert len(years) >= 2
+
+
+class TestServe:
+    def test_serve_keeps_no_reference_to_the_loaded_dataset(self, monkeypatch):
+        """While serving, only the system may hold the starting dataset."""
+        loaded = []
+
+        def load_dataset(args):
+            dataset = generate_dataset("tiny")
+            loaded.append(weakref.ref(dataset))
+            return dataset
+
+        class Server:
+            url = "http://127.0.0.1:0"
+            alive_while_serving = None
+
+            def serve_forever(self):
+                gc.collect()
+                self.alive_while_serving = loaded[0]() is not None
+
+            def stop(self):
+                pass
+
+        server = Server()
+        monkeypatch.setattr(cli, "_load_dataset", load_dataset)
+        monkeypatch.setattr(cli, "run_server", lambda dataset, config, **kwargs: server)
+        code, text = _run(["serve", "--port", "0", "--warm-up", "0"])
+        assert code == 0 and "MapRat serving at" in text
+        assert server.alive_while_serving is False
