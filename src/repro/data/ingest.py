@@ -127,14 +127,32 @@ def rating_from_dict(payload: Mapping) -> Rating:
     )
 
 
+def checked_reviewer(reviewer: Reviewer) -> Reviewer:
+    """Return ``reviewer`` if its age falls in an age band.
+
+    The request boundary's check of a new reviewer, shared by
+    :func:`reviewer_from_dict` and :meth:`~repro.server.api.MapRat.ingest`
+    (which also takes :class:`Reviewer` objects).  An age with no age band
+    (below 1, or not a number) would be journaled and buffered, then fail
+    the next compaction and every recovery after it.  WAL replay does not
+    call it.  Raises :class:`IngestError`.
+    """
+    try:
+        age_group_for(reviewer.age)
+    except SchemaError as exc:
+        raise IngestError(str(exc)) from exc
+    except TypeError as exc:
+        raise IngestError(f"reviewer age must be a number, got {reviewer.age!r}") from exc
+    return reviewer
+
+
 def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> Reviewer:
     """Parse a new-reviewer payload into a :class:`Reviewer`.
 
     Required keys: ``gender``, ``age``, ``occupation``, ``zipcode`` (plus
     ``reviewer_id`` unless supplied by the caller).  ``state``/``city`` are
     optional; blank values are resolved from the zip code at registration.
-    An age with no age band (below 1) is an :class:`IngestError`: accepted,
-    it would fail the next compaction and every recovery after it.
+    The age must fall in an age band (:func:`checked_reviewer`).
     """
     if not isinstance(payload, Mapping):
         raise IngestError(f"reviewer entry must be an object, got {type(payload).__name__}")
@@ -150,18 +168,16 @@ def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> R
         ) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"malformed reviewer entry: {exc}") from exc
-    try:
-        age_group_for(age)
-    except SchemaError as exc:
-        raise IngestError(str(exc)) from exc
-    return Reviewer(
-        reviewer_id=rid,
-        gender=gender,
-        age=age,
-        occupation=occupation,
-        zipcode=zipcode,
-        state=str(payload.get("state", "")),
-        city=str(payload.get("city", "")),
+    return checked_reviewer(
+        Reviewer(
+            reviewer_id=rid,
+            gender=gender,
+            age=age,
+            occupation=occupation,
+            zipcode=zipcode,
+            state=str(payload.get("state", "")),
+            city=str(payload.get("city", "")),
+        )
     )
 
 

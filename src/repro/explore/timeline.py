@@ -17,7 +17,7 @@ time" (§2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import MiningConfig
 from ..core.explanation import MiningResult
@@ -25,6 +25,9 @@ from ..core.miner import RatingMiner
 from ..errors import EmptyRatingSetError, ExplorationError, MiningError
 from ..query.engine import TimeInterval
 from .statistics import GroupStatistics, group_statistics
+
+#: Mines one slider position: ``(item_ids, (start, end), description)``.
+YearMining = Callable[[Sequence[int], Tuple[int, int], str], MiningResult]
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,22 @@ class TimelineExplorer:
         item_ids: Sequence[int],
         years: Optional[Sequence[int]] = None,
         min_ratings: int = 20,
+        mine: Optional[YearMining] = None,
     ) -> List[TimelineSlice]:
         """Re-run SM + DM for each year of the slider.
 
         Slices with fewer than ``min_ratings`` ratings, or where no candidate
         group satisfies the constraints, yield a :class:`TimelineSlice` with
         ``result=None`` instead of failing the whole timeline.
+
+        ``mine(item_ids, interval, description)`` mines one year; the default
+        mines inline on this explorer's miner.  The serving layer passes one
+        that answers each year through its result cache and request pool.
         """
         years = list(years) if years is not None else self.available_years(item_ids)
         if not years:
             raise ExplorationError("the item selection has no rated years")
+        mine = mine or self._mine_inline
         slices: List[TimelineSlice] = []
         for year in years:
             interval = TimeInterval.for_year(year)
@@ -109,12 +118,7 @@ class TimelineExplorer:
             result: Optional[MiningResult] = None
             if len(rating_slice) >= min_ratings:
                 try:
-                    result = self.miner.explain_items(
-                        list(item_ids),
-                        description=f"year {year}",
-                        time_interval=interval.as_tuple(),
-                        config=self.config,
-                    )
+                    result = mine(item_ids, interval.as_tuple(), f"year {year}")
                 except (MiningError, EmptyRatingSetError):
                     result = None
             slices.append(
@@ -126,6 +130,16 @@ class TimelineExplorer:
                 )
             )
         return slices
+
+    def _mine_inline(
+        self, item_ids: Sequence[int], interval: Tuple[int, int], description: str
+    ) -> MiningResult:
+        return self.miner.explain_items(
+            list(item_ids),
+            description=description,
+            time_interval=interval,
+            config=self.config,
+        )
 
     # -- per-group trend -------------------------------------------------------------
 

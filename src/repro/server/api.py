@@ -13,13 +13,19 @@ import json
 import threading
 import time
 from concurrent.futures import CancelledError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import MiningConfig, PipelineConfig, VizConfig
 from ..core.explanation import Explanation, GroupExplanation, MiningResult
 from ..core.miner import RatingMiner
-from ..data.ingest import LiveStore, checked_rating, rating_from_dict, reviewer_from_dict
+from ..data.ingest import (
+    LiveStore,
+    checked_rating,
+    checked_reviewer,
+    rating_from_dict,
+    reviewer_from_dict,
+)
 from ..data.model import Item, Rating, RatingDataset, Reviewer
 from ..data.storage import RatingStore
 from ..errors import (
@@ -41,7 +47,7 @@ from ..geo.explorer import DRILL_ATTRIBUTES, GeoExplorer, GeoMiningResult, is_co
 from ..explore.session import ExplorationSession
 from ..explore.statistics import GroupStatistics, compare_groups, group_statistics
 from ..explore.timeline import GroupTrendPoint, TimelineExplorer, TimelineSlice
-from ..query.engine import ItemQuery, QueryEngine, TimeInterval
+from ..query.engine import QueryEngine, TimeInterval
 from ..viz.choropleth import render_explanation_map
 from ..viz.report import ExplanationReport, ExplorationReport
 from ..viz.text import render_result_text
@@ -50,6 +56,27 @@ from .pool import MiningWorkerPool
 from .precompute import CacheWarmer, ItemAggregate, Precomputer
 from .procpool import ProcessMiningPool
 from .recovery import DurabilityController, RecoveryReport
+
+
+def _as_requested(result, description: str):
+    """A cached ``result`` labelled as a fresh mining of this request labels it.
+
+    Cache keys ignore the description, so an entry answers every request
+    with its key — a query, a warm-up anchor, a timeline year, a re-warm
+    that passed none.  The label is the request's ``description``, or the
+    miner's default for an empty one: ``"N item(s)"`` for a
+    :class:`MiningResult`, ``"<region> view"`` for a
+    :class:`~repro.geo.explorer.GeoMiningResult`.
+    """
+    if isinstance(result, GeoMiningResult):
+        label = description or f"{result.region} view"
+        if result.description == label:
+            return result
+        return replace(result, description=label)
+    label = description or f"{len(result.query.item_ids)} item(s)"
+    if result.query.description == label:
+        return result
+    return replace(result, query=replace(result.query, description=label))
 
 
 @dataclass(frozen=True)
@@ -304,24 +331,16 @@ class MapRat:
         interval = (
             compiled.time_interval.as_tuple() if compiled.time_interval else None
         )
-
-        def attempt() -> MiningResult:
-            serving = self._serving
-            if not use_cache:
-                return self._explain_item_ids(
-                    serving, item_ids, interval, compiled, mining_config
-                )
-            key = canonical_explain_key(
-                item_ids, interval, mining_config, epoch=serving.epoch
+        return self._retry_stale_epoch(
+            lambda: self._explain_selection(
+                self._serving,
+                item_ids,
+                compiled.describe(),
+                interval,
+                mining_config,
+                use_cache=use_cache,
             )
-            return self.cache.get_or_compute(
-                key,
-                lambda: self._explain_item_ids(
-                    serving, item_ids, interval, compiled, mining_config
-                ),
-            )
-
-        return self._retry_stale_epoch(attempt)
+        )
 
     def explain_items(
         self,
@@ -344,33 +363,55 @@ class MapRat:
         """
         mining_config = config or self.config.mining
         canonical_ids = sorted({int(item_id) for item_id in item_ids})
-
-        def attempt() -> MiningResult:
-            serving = self._serving
-            compute = lambda: self._mine_items(  # noqa: E731 - keyed thunk
-                serving, canonical_ids, description, time_interval,
-                mining_config, parallel,
+        return self._retry_stale_epoch(
+            lambda: self._explain_selection(
+                self._serving,
+                canonical_ids,
+                description,
+                time_interval,
+                mining_config,
+                parallel=parallel,
+                use_cache=use_cache,
             )
-            if not use_cache:
-                return compute()
-            key = canonical_explain_key(
-                canonical_ids, time_interval, mining_config, epoch=serving.epoch
-            )
-            return self.cache.get_or_compute(key, compute)
+        )
 
-        return self._retry_stale_epoch(attempt)
-
-    def _explain_item_ids(
+    def _explain_selection(
         self,
         serving: ServingState,
         item_ids: Sequence[int],
-        interval: Optional[Tuple[int, int]],
-        compiled: ItemQuery,
-        mining_config: MiningConfig,
+        description: str,
+        time_interval: Optional[Tuple[int, int]],
+        config: MiningConfig,
+        parallel: bool = True,
+        use_cache: bool = True,
+        deadline: Optional[float] = None,
     ) -> MiningResult:
-        return self._mine_items(
-            serving, list(item_ids), compiled.describe(), interval, mining_config, True
+        """One explain read of sorted, unique ``item_ids`` on ``serving``'s epoch.
+
+        Keyed by :func:`canonical_explain_key`, answered from the cache or
+        by one single-flight mining (:meth:`_mine_items`), and labelled with
+        this request's own ``description`` (:func:`_as_requested`).  A miss
+        after ``deadline`` (a :func:`time.perf_counter` instant) raises
+        :class:`~repro.errors.MiningTimeoutError` instead of starting to
+        mine.
+        """
+
+        def compute() -> MiningResult:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise MiningTimeoutError(
+                    f"the {self.config.server.mining_timeout_s:g}s deadline "
+                    f"passed before mining {description!r} could start"
+                )
+            return self._mine_items(
+                serving, item_ids, description, time_interval, config, parallel
+            )
+
+        if not use_cache:
+            return compute()
+        key = canonical_explain_key(
+            item_ids, time_interval, config, epoch=serving.epoch
         )
+        return _as_requested(self.cache.get_or_compute(key, compute), description)
 
     # -- exploration -------------------------------------------------------------------
 
@@ -416,13 +457,37 @@ class MapRat:
         years: Optional[Sequence[int]] = None,
         min_ratings: int = 20,
     ) -> List[TimelineSlice]:
-        """Time-slider view: interpretations per year for a query."""
+        """Time-slider view: interpretations per year for a query.
+
+        Each year is one explain read (:meth:`_explain_selection`) on the one
+        serving state the timeline took, keyed like
+        ``explain(query, TimeInterval.for_year(year))``, so the two share a
+        cache entry and a repeated timeline mines nothing.  Under
+        ``mining_timeout_s`` the years share one budget: a year whose mining
+        would start after it has passed raises
+        :class:`~repro.errors.MiningTimeoutError`, and a started year is
+        bounded by the pool's own deadline, so a timeline answers within
+        twice the deadline.  A retired epoch retries the whole timeline once.
+        """
         item_ids = self.engine.matching_item_ids(query)
         if not item_ids:
             raise QueryError(f"query {query!r} matches no items")
-        return self._serving.timeline_explorer.interpretations_by_year(
-            item_ids, years=years, min_ratings=min_ratings
-        )
+        timeout = self.config.server.mining_timeout_s
+        deadline = None if timeout is None else time.perf_counter() + timeout
+        mining_config = self.config.mining
+
+        def attempt() -> List[TimelineSlice]:
+            serving = self._serving
+            return serving.timeline_explorer.interpretations_by_year(
+                item_ids,
+                years=years,
+                min_ratings=min_ratings,
+                mine=lambda ids, interval, description: self._explain_selection(
+                    serving, ids, description, interval, mining_config, deadline=deadline
+                ),
+            )
+
+        return self._retry_stale_epoch(attempt)
 
     def group_trend(
         self,
@@ -611,7 +676,7 @@ class MapRat:
                 config=mining_config,
                 epoch=serving.epoch,
             )
-            return self.cache.get_or_compute(key, compute)
+            return _as_requested(self.cache.get_or_compute(key, compute), description)
 
         return self._retry_stale_epoch(attempt)
 
@@ -952,9 +1017,11 @@ class MapRat:
         unknown.  When the buffer reaches
         ``ServerConfig.auto_compact_threshold`` the ingest triggers a
         compaction into the next epoch; readers keep serving the previous
-        snapshot throughout.  An out-of-range reviewer id or timestamp raises
+        snapshot throughout.  An out-of-range reviewer id or timestamp, or a
+        new reviewer with no age band, raises
         :class:`~repro.errors.IngestError` (see
-        :func:`~repro.data.ingest.checked_rating`).
+        :func:`~repro.data.ingest.checked_rating` and
+        :func:`~repro.data.ingest.checked_reviewer`).
         """
         rating = checked_rating(
             Rating(
@@ -964,11 +1031,10 @@ class MapRat:
                 timestamp=int(timestamp),
             )
         )
-        record = (
-            reviewer_from_dict(reviewer, rating.reviewer_id)
-            if isinstance(reviewer, Mapping)
-            else reviewer
-        )
+        if isinstance(reviewer, Mapping):
+            record = reviewer_from_dict(reviewer, rating.reviewer_id)
+        else:
+            record = None if reviewer is None else checked_reviewer(reviewer)
         status = self.live.ingest(rating, record)
         payload = {
             "status": status,

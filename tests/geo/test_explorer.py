@@ -273,7 +273,10 @@ class TestServingIntegration:
             first = system.geo_explain('title:"Toy Story"', "CA")
             second = system.geo_explain('title:"toy story"', "ca")
             assert system.cache.stats.misses == misses_before + 1
-            assert first is second
+            # One mining, labelled for each request's own query spelling.
+            assert second.similarity is first.similarity
+            assert second.diversity is first.diversity
+            assert second.description == 'title:"toy story"'
 
     def test_region_warmup_serves_geo_traffic_from_cache(
         self, tiny_dataset, mining_config

@@ -13,10 +13,12 @@ recomputed on demand — must equal a from-scratch
 mine of the new snapshot, bit for bit (volatile timings stripped).
 
 Schedules grow the vocabularies (fresh reviewers with unseen zip codes, some
-in states the tiny dataset lacks), mix touched and untouched anchors, item
-and region anchors, whole-period and time-window anchors, and re-warming on
-and off.  Untouched anchors must be served as cache hits: a carried entry is
-never silently recomputed.
+in states the tiny dataset lacks), mix touched and untouched anchors, item,
+region and timeline anchors, whole-period and time-window anchors, and
+re-warming on and off.  A timeline anchor is compared year by year with a
+fresh :class:`~repro.explore.timeline.TimelineExplorer`.  Untouched anchors
+must be served as cache hits — every mined year of an untouched timeline
+too: a carried entry is never silently recomputed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 from repro.config import MiningConfig, PipelineConfig
 from repro.core.miner import RatingMiner
 from repro.errors import MapRatError
+from repro.explore.timeline import TimelineExplorer
 from repro.geo.explorer import GeoExplorer
 from repro.server.api import MapRat
 
@@ -49,6 +52,9 @@ MINING = MiningConfig(
     rhe_max_iterations=60,
 )
 
+#: ``min_ratings`` of the timeline anchors: most years of a tiny item mine.
+TIMELINE_MIN_RATINGS = 5
+
 
 def strip_volatile(payload):
     """Drop wall-clock fields recursively; everything else compares exactly."""
@@ -66,9 +72,12 @@ def strip_volatile(payload):
 def outcome(mine):
     """A volatile-stripped payload, or the error the selection raises."""
     try:
-        return strip_volatile(mine().to_dict())
+        result = mine()
     except MapRatError as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(result, list):  # a timeline: one payload per year
+        return [strip_volatile(year.to_dict()) for year in result]
+    return strip_volatile(result.to_dict())
 
 
 def ingest_round(system, rng, item_ids, reviewer_ids, next_reviewer_id) -> tuple:
@@ -118,6 +127,8 @@ def draw_anchors(system, rng, item_ids) -> list:
     ids = tuple(sorted(int(i) for i in rng.choice(item_ids, size=2, replace=False)))
     region = system.geo.summary(list(ids))[0].region
     anchors.append(("geo", ids, region))
+    query = f'title:"{system.dataset.item(int(rng.choice(item_ids))).title}"'
+    anchors.append(("timeline", tuple(system.engine.matching_item_ids(query)), query))
     for anchor in anchors:
         outcome(lambda: serve(system, anchor))  # populate the cache
     return anchors
@@ -127,6 +138,8 @@ def serve(system, anchor):
     """Answer one anchor through the façade (cache and all)."""
     if anchor[0] == "explain":
         return system.explain_items(list(anchor[1]), time_interval=anchor[2])
+    if anchor[0] == "timeline":
+        return system.timeline(anchor[2], min_ratings=TIMELINE_MIN_RATINGS)
     return system.geo_explain_items(list(anchor[1]), anchor[2])
 
 
@@ -135,7 +148,18 @@ def mine_fresh(store, anchor):
     miner = RatingMiner(store, MINING)
     if anchor[0] == "explain":
         return miner.explain_items(list(anchor[1]), time_interval=anchor[2])
+    if anchor[0] == "timeline":
+        return TimelineExplorer(miner).interpretations_by_year(
+            list(anchor[1]), min_ratings=TIMELINE_MIN_RATINGS
+        )
     return GeoExplorer(miner).explain_region(list(anchor[1]), anchor[2])
+
+
+def cached_reads(served) -> int:
+    """Cache reads an answer took: one per anchor, one per mined year."""
+    if isinstance(served, list):
+        return sum(1 for year in served if year["result"] is not None)
+    return 1
 
 
 class TestLiveSystemEqualsFreshMining:
@@ -159,8 +183,8 @@ class TestLiveSystemEqualsFreshMining:
                     untouched = not touched.intersection(anchor[1])
                     hits = system.cache.stats.hits
                     served = outcome(lambda: serve(system, anchor))
-                    if untouched and isinstance(served, dict):
-                        assert system.cache.stats.hits == hits + 1, (
+                    if untouched and not isinstance(served, tuple):
+                        assert system.cache.stats.hits == hits + cached_reads(served), (
                             f"carried anchor {anchor} was recomputed"
                         )
                     assert served == outcome(

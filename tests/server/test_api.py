@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro.config import MiningConfig
+from repro.config import MiningConfig, PipelineConfig
 from repro.errors import ExplorationError, QueryError, ServerError
 from repro.query.engine import TimeInterval
 from repro.server.api import JsonApi, MapRat
+
+TOY_STORY = 'title:"Toy Story"'
+SAVING_PRIVATE_RYAN = 'title:"Saving Private Ryan"'
+
+
+def _stable(payload):
+    """``payload`` without its wall-clock fields, at any depth."""
+    if isinstance(payload, dict):
+        return {k: _stable(v) for k, v in payload.items() if k != "elapsed_seconds"}
+    return payload
 
 
 class TestExplain:
@@ -54,7 +64,10 @@ class TestExplain:
     def test_query_case_variants_share_one_cache_entry(self, fresh_system):
         upper = fresh_system.explain('title:"Toy Story"')
         lower = fresh_system.explain('title:"toy story"')
-        assert lower is upper
+        # One mining, labelled for each request (see TestCachedDescriptions).
+        assert lower.similarity is upper.similarity
+        assert lower.diversity is upper.diversity
+        assert lower.query.description == 'title:"toy story"'
         assert len(fresh_system.cache) == 1
         assert fresh_system.cache.stats.hits == 1
 
@@ -85,6 +98,59 @@ class TestExplain:
         hits_before = fresh_system.cache.stats.hits
         fresh_system.explain(f'title:"{top.title}"')
         assert fresh_system.cache.stats.hits == hits_before + 1
+
+
+class TestCachedDescriptions:
+    """A cache key ignores the description; every read carries its own."""
+
+    def test_rewarmed_entries_answer_like_a_fresh_mining(
+        self, tiny_dataset, mining_config
+    ):
+        with MapRat.for_dataset(tiny_dataset, PipelineConfig(mining=mining_config)) as system:
+            api = JsonApi(system)
+            explain = {"q": SAVING_PRIVATE_RYAN}
+            geo_explain = {"q": SAVING_PRIVATE_RYAN, "region": "CA"}
+            api.dispatch("explain", explain)
+            api.dispatch("geo_explain", geo_explain)
+            (item,) = system.dataset.items_by_title("Saving Private Ryan")
+            system.ingest(item.item_id, 1, 4.0, timestamp=1_000_000_000)
+            # The re-warm mines both touched anchors with no description.
+            assert system.compact()["rewarmed"] == 2
+            hits = system.cache.stats.hits
+            served = [
+                api.dispatch("explain", explain),
+                api.dispatch("geo_explain", geo_explain),
+            ]
+            assert system.cache.stats.hits == hits + 2
+            assert served[0]["query"]["description"] == SAVING_PRIVATE_RYAN
+            assert served[1]["description"] == SAVING_PRIVATE_RYAN
+            fresh = [
+                system.explain(SAVING_PRIVATE_RYAN, use_cache=False).to_dict(),
+                system.geo_explain(SAVING_PRIVATE_RYAN, "CA", use_cache=False).to_dict(),
+            ]
+            assert [_stable(p) for p in served] == [_stable(p) for p in fresh]
+
+    def test_each_read_of_a_shared_entry_carries_its_own_description(
+        self, fresh_system
+    ):
+        ids = [item.item_id for item in fresh_system.dataset.items_by_title("Toy Story")]
+        queried = fresh_system.explain(TOY_STORY)
+        listed = fresh_system.explain_items(ids)
+        assert listed.similarity is queried.similarity
+        assert listed.query.description == f"{len(ids)} item(s)"
+        assert fresh_system.explain(TOY_STORY).query.description == TOY_STORY
+
+        year = TimeInterval.for_year(2001).as_tuple()
+        listed_year = fresh_system.explain_items(ids, time_interval=year)
+        (timeline_year,) = fresh_system.timeline(TOY_STORY, years=[2001], min_ratings=1)
+        assert timeline_year.result.similarity is listed_year.similarity
+        assert timeline_year.result.query.description == "year 2001"
+
+        region = fresh_system.geo_explain(TOY_STORY, "CA")
+        listed_region = fresh_system.geo_explain_items(ids, "ca")
+        assert listed_region.similarity is region.similarity
+        assert listed_region.description == "CA view"
+        assert len(fresh_system.cache) == 3
 
 
 class TestExploration:

@@ -17,6 +17,7 @@ from test_recovery import assert_stores_identical
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
 from repro.data.ingest import TIMESTAMP_RANGE
+from repro.data.model import Reviewer
 from repro.errors import IngestError, ServerError
 from repro.query.engine import TimeInterval
 from repro.server.api import JsonApi, MapRat
@@ -291,6 +292,22 @@ class TestOutOfRangeIngest:
             assert _send(router, "ingest", good, "get").status == 200
             assert router.handle(HttpRequest("GET", "/api/compact")).status == 200
             assert system.epoch == 1
+
+    def test_a_reviewer_object_gets_the_age_band_check(self, tiny_dataset, mining_config):
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as system:
+            ageless = Reviewer(990002, "F", 0, "artist", "94105")
+            with pytest.raises(IngestError, match="age code must be positive"):
+                system.ingest(1, 990002, 4.0, reviewer=ageless)
+            textual = Reviewer(990002, "F", "25", "artist", "94105")
+            with pytest.raises(IngestError, match="age must be a number"):
+                system.ingest(1, 990002, 4.0, reviewer=textual)
+            stats = system.store_stats()
+            assert stats["buffered"] == stats["buffered_reviewers"] == 0
+            assert stats["accepted_total"] == 0
+            adult = Reviewer(990002, "F", 25, "artist", "94105")
+            assert system.ingest(1, 990002, 4.0, reviewer=adult)["status"] == "accepted"
+            assert system.compact()["compacted"]
+            assert system.store_stats()["compactions"] == 1
 
     def test_a_data_directory_recovers_after_the_rejected_requests(
         self, tmp_path, tiny_dataset, mining_config
