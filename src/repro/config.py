@@ -145,10 +145,10 @@ class ServerConfig:
     """Settings for the latency layer and the JSON API (§2.3 "caching").
 
     Attributes:
-        cache_capacity: maximum number of cached mining results.
-        cache_ttl_seconds: optional result expiry age (None: keep forever).
-        single_flight: coalesce concurrent cache misses on one key into one
-            computation (the anti-stampede guarantee of the serving layer).
+        cache_capacity: maximum number of cached mining results.  The cache
+            always coalesces concurrent misses on one key into one
+            computation (single flight), and its entries never expire by
+            age: keys end with the store epoch.
         mining_backend: ``"thread"`` (default) runs each request's SM + DM
             pair as one task on a ``ThreadPoolExecutor``; ``"process"``
             shards mining tasks across persistent worker **processes** that
@@ -164,9 +164,6 @@ class ServerConfig:
             results are bit-identical to serial ones (fixed per-task seeds,
             submission-ordered gathering).
         precompute_top_items: how many popular items the warm-up mines.
-        precompute_top_regions: how many top regions (states by rating
-            volume) the warm-up anchors: for each, the geo explanation of the
-            most popular item within that region is pre-mined.
         warm_in_background: run the startup warm-up on a background thread so
             the server serves immediately while the cache fills.
         ingest_batch_size: maximum entries accepted by one ``ingest_batch``
@@ -176,10 +173,6 @@ class ServerConfig:
             append buffer to this many pending ratings triggers a compaction
             into the next epoch automatically; 0 leaves compaction to
             explicit ``compact`` calls.
-        use_incremental_compaction: maintain snapshots via delta updates
-            (code-column remap, index appends, delta bincounts); False
-            rebuilds each snapshot from scratch — the reference path the
-            differential test battery compares against.
         data_dir: directory for the durability subsystem (write-ahead log,
             snapshots, warm-restart anchors).  ``None`` (default) keeps the
             system purely in-memory; a path enables WAL-backed ingest, crash
@@ -224,16 +217,12 @@ class ServerConfig:
     """
 
     cache_capacity: int = 256
-    cache_ttl_seconds: float | None = None
-    single_flight: bool = True
     mining_backend: str = "thread"
     mining_workers: int = 4
     precompute_top_items: int = 50
-    precompute_top_regions: int = 0
     warm_in_background: bool = True
     ingest_batch_size: int = 1000
     auto_compact_threshold: int = 0
-    use_incremental_compaction: bool = True
     data_dir: str | None = None
     wal_fsync: str = "batch"
     snapshot_on_compact: bool = True
@@ -257,8 +246,6 @@ class ServerConfig:
             raise ConstraintError("mining_workers must be non-negative")
         if self.precompute_top_items < 0:
             raise ConstraintError("precompute_top_items must be non-negative")
-        if self.precompute_top_regions < 0:
-            raise ConstraintError("precompute_top_regions must be non-negative")
         if self.ingest_batch_size < 1:
             raise ConstraintError("ingest_batch_size must be at least 1")
         if self.auto_compact_threshold < 0:

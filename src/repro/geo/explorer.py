@@ -15,11 +15,6 @@ loop over rating tuples — and within-region mining reuses the existing
 integer-coded kernel with the geo anchor re-pointed one hierarchy level down
 (``geo_anchor_attribute="city"``), keeping every returned group map-renderable
 inside the region.
-
-Per-region mining fan-out (:meth:`GeoExplorer.explain_top_regions`) shards one
-task per region across a :class:`~repro.server.pool.MiningWorkerPool`; results
-are gathered in submission order and every region mines with the fixed seed of
-its mining configuration, so sharded runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -463,52 +458,6 @@ class GeoExplorer:
             config=region_config,
             elapsed_seconds=time.perf_counter() - started_at,
         )
-
-    def explain_top_regions(
-        self,
-        item_ids: Optional[Sequence[int]] = None,
-        limit: int = 3,
-        description: str = "",
-        time_interval: Optional[Tuple[int, int]] = None,
-        config: Optional[MiningConfig] = None,
-        pool=None,
-    ) -> List[GeoMiningResult]:
-        """Per-region mining fan-out over the most-rated regions.
-
-        One task per region shards across ``pool`` (submission-ordered
-        gathering, fixed per-config seeds), so ``workers=1`` and
-        ``workers=N`` produce bit-identical result lists.  Each region task
-        runs its inner SM/DM serially — nested submission to the same thread
-        pool could exhaust it and deadlock.  A process pool receives one
-        full ``explain_region`` spec per region; its workers compute the
-        whole :class:`GeoMiningResult` (stats, baseline, SM + DM) from the
-        epoch's shared snapshot, so the fan-out runs on every core.
-        """
-        regions = self.top_regions(item_ids, limit=limit, time_interval=time_interval)
-        base_config = config or self.miner.config
-        if pool is not None and getattr(pool, "kind", "thread") == "process":
-            return pool.explain_regions(
-                self.store.epoch,
-                item_ids,
-                [canonical_region(region) for region in regions],
-                description,
-                time_interval,
-                base_config,
-            )
-
-        def explain_one(region: str) -> GeoMiningResult:
-            return self.explain_region(
-                item_ids,
-                region,
-                description=description,
-                time_interval=time_interval,
-                config=config,
-                pool=None,
-            )
-
-        if pool is not None and getattr(pool, "parallel", False):
-            return pool.map(explain_one, regions)
-        return [explain_one(region) for region in regions]
 
     # -- internals ------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 §2.3: "Using a combination of aggressive data pre-processing, result
 pre-computation and caching techniques, the latency of MapRat is minimized."
 
-* :mod:`repro.server.cache` — single-flight LRU (+ optional TTL) cache of
+* :mod:`repro.server.cache` — single-flight LRU cache of
   mining results under canonical (item ids, interval, config) keys,
 * :mod:`repro.server.pool` — the thread mining backend (the default): runs
   each request's SM + DM as one task under the mining deadline, with

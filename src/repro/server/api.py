@@ -124,22 +124,15 @@ class MapRat:
                 dataset,
                 lambda ds: RatingMiner.build_store(ds, self.config.mining),
                 auto_compact_threshold=server.auto_compact_threshold,
-                use_incremental=server.use_incremental_compaction,
             )
             miner = RatingMiner(self.live.snapshot, self.config.mining)
         else:
             miner = RatingMiner.for_dataset(dataset, self.config.mining)
             self.live = LiveStore(
-                miner.store,
-                auto_compact_threshold=server.auto_compact_threshold,
-                use_incremental=server.use_incremental_compaction,
+                miner.store, auto_compact_threshold=server.auto_compact_threshold
             )
         self.engine = QueryEngine(dataset)
-        self.cache = ResultCache(
-            capacity=server.cache_capacity,
-            ttl_seconds=server.cache_ttl_seconds,
-            single_flight=server.single_flight,
-        )
+        self.cache = ResultCache(capacity=server.cache_capacity)
         # Mining backend: the thread pool shares the store in-process (cheap,
         # GIL-bound) and runs each request's SM + DM as one task; the process
         # pool exports each epoch's numpy parts into shared memory once and
@@ -771,7 +764,7 @@ class MapRat:
 
     # -- warm-up / service info -------------------------------------------------------------
 
-    def warm_up(self, limit: Optional[int] = None, regions: Optional[int] = None) -> dict:
+    def warm_up(self, limit: Optional[int] = None, regions: int = 0) -> dict:
         """Pre-compute explanations for the most popular items and regions (§2.3).
 
         Anchors run on the dedicated warm pool (one task per item or region,
@@ -786,11 +779,6 @@ class MapRat:
             if self._closed:
                 raise PoolError("cannot warm up a closed system")
         limit = limit if limit is not None else self.config.server.precompute_top_items
-        regions = (
-            regions
-            if regions is not None
-            else self.config.server.precompute_top_regions
-        )
         report = self.precomputer.warm_popular_items(
             self._warm_explain, limit=limit, pool=self.warm_pool
         )
@@ -841,8 +829,6 @@ class MapRat:
                 self._warm_explain,
                 limit=limit,
                 pool=self.warm_pool,
-                explain_region=self._warm_geo_explain,
-                region_limit=self.config.server.precompute_top_regions,
             ).start()
             return self.warmer
 
@@ -991,7 +977,6 @@ class MapRat:
         info["cache"] = self.cache.stats.to_dict()
         info["cache_entries"] = len(self.cache)
         info["serving"] = {
-            "single_flight": self.cache.single_flight,
             "pool": self.pool.to_dict(),
             "warm_pool": self.warm_pool.to_dict(),
             "warmer": self.warmer.to_dict() if self.warmer is not None else None,

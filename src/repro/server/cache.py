@@ -1,17 +1,18 @@
-"""Result cache: single-flight LRU with optional TTL, keyed canonically.
+"""Result cache: single-flight LRU, keyed canonically.
 
 Mining a popular movie involves enumerating thousands of candidate groups and
 running two randomized searches; repeating that for every visitor would defeat
 the "interactive" promise of the demo.  The cache keeps the most recent
-results, evicts least-recently-used entries beyond the capacity, optionally
-expires entries after a TTL, and records hit/miss statistics that the latency
-benchmarks (claim §2.3) report.
+results, evicts least-recently-used entries beyond the capacity, and records
+hit/miss statistics that the latency benchmarks (claim §2.3) report.  Entries
+never expire by age: every key ends with the store epoch, so a compaction
+makes the entries of a superseded store unreachable instead.
 
 Two serving-layer guarantees live here:
 
 * **Single-flight computation** — when several threads miss on the same key
   at once (the classic cache stampede: concurrent visitors asking for the
-  same just-expired blockbuster), exactly one *leader* runs the computation
+  same uncached blockbuster), exactly one *leader* runs the computation
   while the other *waiters* block on the in-flight entry and receive the
   leader's value.  Every caller lands in exactly one of ``hits``/``misses``:
   a coalesced waiter counts as a hit (plus the ``coalesced`` stampede
@@ -29,7 +30,6 @@ Two serving-layer guarantees live here:
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Optional, Tuple
@@ -129,7 +129,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     coalesced: int = 0
 
     @property
@@ -148,13 +147,12 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "coalesced": self.coalesced,
             "hit_rate": round(self.hit_rate, 4),
         }
 
 
-#: Sentinel distinguishing "absent/expired" from a cached ``None``.
+#: Sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
 
 
@@ -170,7 +168,7 @@ class _InFlight:
 
 
 class ResultCache:
-    """Thread-safe LRU cache with optional TTL and single-flight computation.
+    """Thread-safe LRU cache with single-flight computation.
 
     Values are opaque to the cache; the MapRat façade stores
     :class:`~repro.core.explanation.MiningResult` objects, the pre-computation
@@ -178,33 +176,14 @@ class ResultCache:
 
     Args:
         capacity: maximum number of entries kept.
-        ttl_seconds: optional expiry age; ``None`` keeps entries forever.
-        single_flight: when True (the default), concurrent
-            :meth:`get_or_compute` misses on the same key run one computation;
-            when False every missing caller computes independently (the
-            pre-PR-2 behaviour, kept for the serving benchmark's baseline).
-        clock: monotonic time source for TTL bookkeeping; injectable so the
-            expiry-accounting regression tests can advance time
-            deterministically instead of sleeping.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        ttl_seconds: Optional[float] = None,
-        single_flight: bool = True,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise CacheError("cache capacity must be at least 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise CacheError("ttl_seconds must be positive when given")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self.single_flight = single_flight
-        self._clock = clock
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Hashable, Tuple[float, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._inflight: dict = {}
         self._lock = threading.Lock()
 
@@ -217,31 +196,25 @@ class ResultCache:
     def __contains__(self, key: Hashable) -> bool:
         return self.get(key, record_stats=False) is not None
 
-    def _lookup_locked(self, key: Hashable, record_stats: bool = True) -> Any:
-        """Fresh value of ``key`` or ``_MISSING``; caller holds the lock.
+    def _lookup_locked(self, key: Hashable) -> Any:
+        """Value of ``key`` or ``_MISSING``; caller holds the lock.
 
-        The one implementation of hit/expiry/LRU-refresh accounting: drops an
-        expired entry (counting the expiration only when ``record_stats`` —
-        untracked scans such as ``__contains__`` and the epoch-migration pass
-        must never mutate the counters) and refreshes LRU order on a hit.
-        Hit/miss counters are the caller's responsibility.
+        Refreshes LRU order on a hit.  Hit/miss counters are the caller's
+        responsibility.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            return _MISSING
-        stored_at, value = entry
-        if self._expired(stored_at):
-            del self._entries[key]
-            if record_stats:
-                self.stats.expirations += 1
-            return _MISSING
-        self._entries.move_to_end(key)
+        value = self._entries.get(key, _MISSING)
+        if value is not _MISSING:
+            self._entries.move_to_end(key)
         return value
 
     def get(self, key: Hashable, default: Any = None, record_stats: bool = True) -> Any:
-        """Return the cached value or ``default``; refreshes LRU order on hit."""
+        """Return the cached value or ``default``; refreshes LRU order on hit.
+
+        ``record_stats=False`` leaves the counters alone: untracked scans such
+        as ``__contains__`` and the epoch-migration pass are not lookups.
+        """
         with self._lock:
-            value = self._lookup_locked(key, record_stats)
+            value = self._lookup_locked(key)
             if value is _MISSING:
                 if record_stats:
                     self.stats.misses += 1
@@ -251,21 +224,11 @@ class ResultCache:
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh an entry, evicting the LRU entry beyond capacity.
-
-        Replacing an entry that has already expired counts the expiration: the
-        old value died of TTL without ever being looked up (the classic case
-        is a single-flight leader storing its recomputation over the entry
-        that expired while it was computing), and silently overwriting it
-        would otherwise leave the death invisible to every counter.
-        """
+        """Insert or refresh an entry, evicting the LRU entry beyond capacity."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if self._expired(entry[0]):
-                    self.stats.expirations += 1
+            if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (self._clock(), value)
+            self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
@@ -273,11 +236,11 @@ class ResultCache:
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Return the cached value, computing and storing it on a miss.
 
-        Under single-flight, concurrent misses on the same key block on one
-        in-flight computation: the leader's value is stored once and handed
-        to every waiter; a leader's exception propagates to its waiters.
-        ``compute`` runs outside the cache lock, so computations for distinct
-        keys proceed concurrently.  ``compute`` must not re-enter
+        Concurrent misses on the same key block on one in-flight
+        computation: the leader's value is stored once and handed to every
+        waiter; a leader's exception propagates to its waiters.  ``compute``
+        runs outside the cache lock, so computations for distinct keys
+        proceed concurrently.  ``compute`` must not re-enter
         ``get_or_compute`` with the same key (it would wait on itself).
         """
         with self._lock:
@@ -285,15 +248,12 @@ class ResultCache:
             if value is not _MISSING:
                 self.stats.hits += 1
                 return value
-            flight = self._inflight.get(key) if self.single_flight else None
-            if flight is None:
+            flight = self._inflight.get(key)
+            leader = flight is None
+            if leader:
                 self.stats.misses += 1
-                if self.single_flight:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                leader = True
-            else:
-                leader = False
+                flight = _InFlight()
+                self._inflight[key] = flight
         if not leader:
             flight.event.wait()
             with self._lock:
@@ -314,28 +274,26 @@ class ResultCache:
         try:
             value = compute()
         except BaseException as exc:
-            if flight is not None:
-                with self._lock:
-                    flight.error = exc
-                    self._inflight.pop(key, None)
-                flight.event.set()
+            with self._lock:
+                flight.error = exc
+                self._inflight.pop(key, None)
+            flight.event.set()
             raise
         try:
             self.put(key, value)
         finally:
             # Resolve the flight even if storing raised (e.g. MemoryError):
             # waiters get the computed value; nothing may strand them.
-            if flight is not None:
-                with self._lock:
-                    flight.value = value
-                    self._inflight.pop(key, None)
-                flight.event.set()
+            with self._lock:
+                flight.value = value
+                self._inflight.pop(key, None)
+            flight.event.set()
         return value
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns True when it existed."""
         with self._lock:
-            return self._entries.pop(key, None) is not None
+            return self._entries.pop(key, _MISSING) is not _MISSING
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
@@ -351,10 +309,3 @@ class ResultCache:
         """Number of computations currently in flight (diagnostics)."""
         with self._lock:
             return len(self._inflight)
-
-    # -- internals ------------------------------------------------------------------
-
-    def _expired(self, stored_at: float) -> bool:
-        if self.ttl_seconds is None:
-            return False
-        return (self._clock() - stored_at) > self.ttl_seconds

@@ -211,7 +211,7 @@ def render_metrics(system, http_metrics: HttpMetrics, edge: str) -> str:
       per-route latency sums/counts, rate-limit and load-shed totals,
       in-flight gauge (taken from the live store of truth, the gate),
     * the serving core of ``system``: cache hits/misses/evictions/
-      expirations/coalesced + entry count, worker-pool task counts,
+      coalesced + entry count, worker-pool task counts,
     * the live store: epoch, rows, buffered appends, ingest/compaction
       totals.
 
@@ -282,12 +282,6 @@ def render_metrics(system, http_metrics: HttpMetrics, edge: str) -> str:
             "LRU evictions beyond the cache capacity.")
     lines.append(
         "maprat_cache_evictions_total %d" % counter("cache_evictions", cache.evictions)
-    )
-    _metric(lines, "maprat_cache_expirations_total", "counter",
-            "TTL expirations dropped on lookup.")
-    lines.append(
-        "maprat_cache_expirations_total %d"
-        % counter("cache_expirations", cache.expirations)
     )
     _metric(lines, "maprat_cache_entries", "gauge", "Live result-cache entries.")
     lines.append("maprat_cache_entries %d" % len(system.cache))

@@ -8,8 +8,7 @@ The serving layer hands the pool two shapes of work:
   gathers it under ``timeout_s``, so the deadline bounds the request's whole
   mining;
 * the per-anchor loops of :class:`~repro.server.precompute.Precomputer`
-  (per-item aggregates, popular-item warm-up) and the per-region fan-out of
-  :meth:`~repro.geo.explorer.GeoExplorer.explain_top_regions`, when a
+  (per-item aggregates, popular-item and top-region warm-up), when a
   parallel pool is handed in.
 
 :class:`MiningWorkerPool` wraps a ``ThreadPoolExecutor`` behind a small,
@@ -20,8 +19,8 @@ the fixed seed of its :class:`~repro.config.MiningConfig`, so the schedule
 can never leak into results.  A pool with ``workers <= 1`` runs every task
 inline on the calling thread, so ``workers=1`` and ``workers=N`` are
 bit-identical by construction.  For batch drivers that *do* need distinct
-random streams per task (e.g. the serving benchmark's per-client request
-generators), :func:`split_seed` derives one from ``(base_seed, task_index)``
+random streams per task (e.g. the process benchmark's anchor shuffle),
+:func:`split_seed` derives one from ``(base_seed, task_index)``
 alone — independent of worker count, chunking and completion order.
 
 Threads share the read-only store and the single-flight cache in-process,

@@ -403,15 +403,11 @@ class CacheWarmer:
         explain: Callable[[List[int], str], MiningResult],
         limit: int = 20,
         pool=None,
-        explain_region: Optional[Callable[[List[int], str, str], object]] = None,
-        region_limit: int = 0,
     ) -> None:
         self.precomputer: Optional[Precomputer] = precomputer
         self.explain = explain
         self.limit = limit
         self.pool = pool
-        self.explain_region = explain_region
-        self.region_limit = region_limit
         self.report: Optional[PrecomputeReport] = None
         self.error: Optional[BaseException] = None
         self._done = threading.Event()
@@ -438,26 +434,12 @@ class CacheWarmer:
 
     def _run(self) -> None:
         try:
-            report = self.precomputer.warm_popular_items(
+            self.report = self.precomputer.warm_popular_items(
                 self.explain,
                 limit=self.limit,
                 pool=self.pool,
                 should_stop=self._cancelled.is_set,
             )
-            if (
-                self.explain_region is not None
-                and self.region_limit > 0
-                and not self._cancelled.is_set()
-            ):
-                report = report.merged(
-                    self.precomputer.warm_top_regions(
-                        self.explain_region,
-                        limit=self.region_limit,
-                        pool=self.pool,
-                        should_stop=self._cancelled.is_set,
-                    )
-                )
-            self.report = report
         except BaseException as exc:  # surfaced through .error / .wait()
             self.error = exc
         finally:

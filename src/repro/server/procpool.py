@@ -1,8 +1,8 @@
 """Process-parallel mining pool over shared-memory store snapshots.
 
 :class:`~repro.server.pool.MiningWorkerPool` shards mining across threads,
-which PR-3's benchmarks measured as GIL-bound (~1× speedup on the mining
-fan-out).  This module is the true-parallel backend behind
+which the mining kernel's hold on the GIL keeps to about one core.  This
+module is the true-parallel backend behind
 ``ServerConfig.mining_backend="process"``:
 
 * **Persistent workers.**  ``workers`` processes are spawned once (lazily, on
@@ -51,7 +51,6 @@ __all__ = ["ProcessMiningPool", "split_seed", "split_seeds"]
 
 #: Mining-task spec kinds understood by the worker executor.
 _MINE_KINDS = ("similarity", "diversity")
-_EXPLAIN_REGION = "explain_region"
 
 #: Module-level caches of one worker process (never used in the parent).
 _worker_hierarchy = None
@@ -82,9 +81,6 @@ def _execute_spec(spec: tuple, stores: Dict[int, Any], explorers: Dict[int, Any]
     * ``("similarity"|"diversity", epoch, item_ids, interval, region, config)``
       → an :class:`~repro.core.explanation.Explanation`; ``region`` restricts
       the slice to one state's tuples first (the geo-explain shape).
-    * ``("explain_region", epoch, item_ids, interval, region, config,
-      description)`` → a full :class:`~repro.geo.explorer.GeoMiningResult`
-      (the per-region fan-out shape).
     """
     kind = spec[0]
     epoch = int(spec[1])
@@ -110,17 +106,6 @@ def _execute_spec(spec: tuple, stores: Dict[int, Any], explorers: Dict[int, Any]
         if kind == "similarity":
             return miner.mine_similarity(rating_slice, config)
         return miner.mine_diversity(rating_slice, config)
-    if kind == _EXPLAIN_REGION:
-        _, _, item_ids, interval, region, config, description = spec
-        explorer = _explorer_for(epoch, store, config, explorers)
-        return explorer.explain_region(
-            None if item_ids is None else list(item_ids),
-            region,
-            description=description,
-            time_interval=interval,
-            config=config,
-            pool=None,
-        )
     raise PoolError(f"unknown mining spec kind {kind!r}")
 
 
@@ -426,15 +411,6 @@ class ProcessMiningPool:
                 f"mining task exceeded the {self.timeout_s:g}s deadline"
             ) from exc
 
-    def map(self, specs: Sequence[tuple]) -> List[Any]:
-        """Run many specs; results come back in submission order.
-
-        The first task exception propagates after scatter (remaining tasks
-        still run to completion), matching the thread pool's ``map``.
-        """
-        futures = [self.submit(spec) for spec in specs]
-        return [self.gather(future) for future in futures]
-
     def mine_pair(
         self,
         epoch: int,
@@ -465,29 +441,6 @@ class ProcessMiningPool:
             ("diversity", int(epoch), ids, interval, region, config)
         )
         return self.gather(similarity_future), self.gather(diversity_future)
-
-    def explain_regions(
-        self,
-        epoch: int,
-        item_ids: Optional[Sequence[int]],
-        regions: Sequence[str],
-        description: str,
-        time_interval: Optional[Tuple[int, int]],
-        config,
-    ) -> List[Any]:
-        """One full within-region mining task per region, submission-ordered."""
-        ids = None if item_ids is None else tuple(int(i) for i in item_ids)
-        interval = (
-            None
-            if time_interval is None
-            else (int(time_interval[0]), int(time_interval[1]))
-        )
-        return self.map(
-            [
-                (_EXPLAIN_REGION, int(epoch), ids, interval, region, config, description)
-                for region in regions
-            ]
-        )
 
     # -- gathering --------------------------------------------------------------------
 

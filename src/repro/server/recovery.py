@@ -186,7 +186,6 @@ class DurabilityController:
         base_dataset: RatingDataset,
         build_store: Callable[[RatingDataset], RatingStore],
         auto_compact_threshold: int = 0,
-        use_incremental: bool = True,
     ) -> Tuple[LiveStore, RecoveryReport]:
         """Reconcile the data directory into a ready-to-serve live store.
 
@@ -217,11 +216,7 @@ class DurabilityController:
         else:
             store = build_store(base_dataset)
 
-        live = LiveStore(
-            store,
-            auto_compact_threshold=auto_compact_threshold,
-            use_incremental=use_incremental,
-        )
+        live = LiveStore(store, auto_compact_threshold=auto_compact_threshold)
 
         wals = [(epoch, path) for epoch, path in self.layout.list_wals() if epoch >= store.epoch]
         report.wal_files = len(wals)

@@ -229,19 +229,6 @@ class TestParallelEquivalence:
         assert stable(parallel.diversity.to_dict()) == stable(serial.diversity.to_dict())
         assert parallel.region_stats == serial.region_stats
 
-    def test_top_region_fanout_parallel_matches_serial(
-        self, explorer, mining_config
-    ):
-        serial = explorer.explain_top_regions(limit=3, config=mining_config)
-        with MiningWorkerPool(4) as pool:
-            parallel = explorer.explain_top_regions(
-                limit=3, config=mining_config, pool=pool
-            )
-        assert [r.region for r in serial] == [r.region for r in parallel]
-        for before, after in zip(serial, parallel):
-            assert stable(before.similarity.to_dict()) == stable(after.similarity.to_dict())
-            assert stable(before.diversity.to_dict()) == stable(after.diversity.to_dict())
-
     def test_maprat_geo_explain_identical_across_worker_counts(
         self, tiny_dataset, mining_config
     ):

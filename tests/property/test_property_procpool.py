@@ -127,15 +127,14 @@ def explain_payload(store, item_ids, time_interval=None, pool=None) -> dict:
 
 
 def geo_payloads(store, item_ids, pool=None) -> list:
-    """Within-region mining of the top region + the two-region fan-out."""
+    """Within-region mining of the two most-rated regions."""
     explorer = GeoExplorer(RatingMiner(store, MINING))
-    region = explorer.summary(item_ids)[0].region
-    payloads = [explorer.explain_region(item_ids, region, pool=pool).to_dict()]
-    payloads.extend(
-        result.to_dict()
-        for result in explorer.explain_top_regions(item_ids, limit=2, pool=pool)
+    return strip_volatile(
+        [
+            explorer.explain_region(item_ids, region, pool=pool).to_dict()
+            for region in explorer.top_regions(item_ids, limit=2)
+        ]
     )
-    return strip_volatile(payloads)
 
 
 def outcome(mine, *args, **kwargs):

@@ -264,7 +264,6 @@ class TestRenderingAndWarmup:
         assert summary["ratings"] > 0
         assert "cache" in summary
         serving = summary["serving"]
-        assert serving["single_flight"] is True
         assert serving["pool"]["workers"] == tiny_system.config.server.mining_workers
 
 

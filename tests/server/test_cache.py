@@ -1,4 +1,4 @@
-"""Tests for the single-flight LRU + TTL result cache and its canonical keys."""
+"""Tests for the single-flight LRU result cache and its canonical keys."""
 
 import random
 import threading
@@ -43,8 +43,6 @@ class TestBasicOperations:
     def test_invalid_configuration(self):
         with pytest.raises(CacheError):
             ResultCache(capacity=0)
-        with pytest.raises(CacheError):
-            ResultCache(capacity=4, ttl_seconds=0)
 
 
 class TestLruEviction:
@@ -71,21 +69,6 @@ class TestLruEviction:
         cache.put("b", 2)
         cache.get("a")
         assert cache.keys() == ["b", "a"]
-
-
-class TestTtl:
-    def test_entries_expire_after_the_ttl(self):
-        cache = ResultCache(capacity=4, ttl_seconds=0.05)
-        cache.put("key", "value")
-        assert cache.get("key") == "value"
-        time.sleep(0.08)
-        assert cache.get("key") is None
-        assert cache.stats.expirations == 1
-
-    def test_entries_survive_within_the_ttl(self):
-        cache = ResultCache(capacity=4, ttl_seconds=10)
-        cache.put("key", "value")
-        assert cache.get("key") == "value"
 
 
 class TestStatsAndCompute:
@@ -178,24 +161,6 @@ class TestSingleFlight:
         assert stats.requests == clients
         assert cache.inflight_count() == 0
 
-    def test_disabling_single_flight_duplicates_the_computation(self):
-        cache = ResultCache(capacity=8, single_flight=False)
-        calls = []
-        clients = 6
-        barrier = threading.Barrier(clients)
-
-        def compute():
-            calls.append(1)
-            time.sleep(0.05)
-            return "expensive"
-
-        def worker():
-            barrier.wait()
-            cache.get_or_compute("key", compute)
-
-        _run_threads([worker] * clients)
-        assert len(calls) >= 2  # the stampede the single-flight mode prevents
-
     def test_leader_error_propagates_to_coalesced_waiters(self):
         cache = ResultCache(capacity=8)
         clients = 4
@@ -235,11 +200,11 @@ class TestSingleFlight:
 
 
 class TestSingleFlightStress:
-    """N threads hammering overlapping keys, TTL expiry + eviction on.
+    """N threads hammering overlapping keys, with eviction on.
 
     Invariants under single-flight, whatever the interleaving:
     * every computation corresponds to exactly one counted miss
-      (no duplicated work within one freshness window),
+      (no duplicated work while an entry is cached or in flight),
     * every request increments exactly one of hits/misses — checked as
       ``requests == clients × iterations`` since ``requests`` is the
       derived sum of the two counters,
@@ -248,8 +213,8 @@ class TestSingleFlightStress:
     """
 
     @staticmethod
-    def _hammer(clients, iterations, keyspace, ttl):
-        cache = ResultCache(capacity=keyspace - 2, ttl_seconds=ttl)
+    def _hammer(clients, iterations, keyspace):
+        cache = ResultCache(capacity=keyspace - 2)
         compute_counts = {key: 0 for key in range(keyspace)}
         counts_lock = threading.Lock()
         mismatches = []
@@ -281,13 +246,13 @@ class TestSingleFlightStress:
         assert cache.inflight_count() == 0
         assert len(cache) <= cache.capacity
 
-    def test_hammering_overlapping_keys_with_ttl_and_eviction(self):
-        self._hammer(clients=8, iterations=120, keyspace=8, ttl=0.04)
+    def test_hammering_overlapping_keys_with_eviction(self):
+        self._hammer(clients=8, iterations=120, keyspace=8)
 
     @pytest.mark.slow
     def test_sustained_high_contention_hammering(self):
         """Longer, wider run of the same invariants (tier-2: ``-m slow``)."""
-        self._hammer(clients=16, iterations=500, keyspace=12, ttl=0.02)
+        self._hammer(clients=16, iterations=500, keyspace=12)
 
 
 class TestCanonicalKeys:
@@ -320,108 +285,3 @@ class TestCanonicalKeys:
     def test_key_is_hashable(self):
         key = canonical_explain_key([5, 3], (0, 1), MiningConfig())
         assert key in {key}
-
-
-class _FakeClock:
-    """Deterministic monotonic clock injectable into :class:`ResultCache`."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestTtlExpiryAccounting:
-    """Regression tests for the ISSUE 9 TTL expiry accounting bugs.
-
-    All of them use the injectable clock, so expiry is exact and the suite
-    never sleeps.  The invariant under test: ``requests == hits + misses``
-    always, and every entry death is visible in exactly one of
-    ``evictions``/``expirations`` (explicit ``invalidate``/``clear`` aside).
-    """
-
-    def _cache(self, **kwargs):
-        clock = _FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock, **kwargs)
-        return cache, clock
-
-    def test_injected_clock_drives_expiry_exactly(self):
-        cache, clock = self._cache()
-        cache.put("key", "value")
-        clock.advance(10.0)  # exactly the TTL: still fresh (expiry is strict >)
-        assert cache.get("key") == "value"
-        clock.advance(0.001)
-        assert cache.get("key") is None
-        assert cache.stats.expirations == 1
-        assert cache.stats.requests == cache.stats.hits + cache.stats.misses == 2
-
-    def test_put_over_an_expired_entry_counts_the_expiration(self):
-        # The leader-recompute race: the entry expires while a computation is
-        # in flight and the recompute's put silently replaced it without any
-        # counter recording the death.
-        cache, clock = self._cache()
-        cache.put("key", "stale")
-        clock.advance(11.0)
-        cache.put("key", "fresh")       # no lookup ever observed the expiry
-        assert cache.stats.expirations == 1
-        assert cache.stats.evictions == 0
-        assert cache.get("key") == "fresh"
-        assert cache.stats.requests == cache.stats.hits + cache.stats.misses == 1
-
-    def test_put_over_a_live_entry_counts_nothing(self):
-        cache, clock = self._cache()
-        cache.put("key", 1)
-        clock.advance(5.0)
-        cache.put("key", 2)
-        assert cache.stats.expirations == 0
-        assert cache.stats.evictions == 0
-
-    def test_expiry_during_get_or_compute_keeps_the_invariant(self):
-        cache, clock = self._cache()
-        assert cache.get_or_compute("key", lambda: "v1") == "v1"
-        clock.advance(11.0)
-        assert cache.get_or_compute("key", lambda: "v2") == "v2"
-        stats = cache.stats
-        assert stats.requests == stats.hits + stats.misses == 2
-        assert stats.misses == 2            # both calls computed
-        assert stats.expirations == 1       # the v1 entry died of TTL, once
-
-    def test_untracked_scans_never_mutate_the_statistics(self):
-        # __contains__ and the epoch-migration pass use record_stats=False;
-        # they must not bump any counter — not even expirations — while still
-        # dropping the dead entry.
-        cache, clock = self._cache()
-        cache.put("key", "value")
-        clock.advance(11.0)
-        assert "key" not in cache
-        assert cache.get("key", record_stats=False) is None
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.expirations) == (0, 0, 0)
-        assert len(cache) == 0
-
-    def test_invariant_sweep_over_interleaved_operations(self):
-        cache, clock = self._cache()
-        deaths_seen = 0
-        for step in range(200):
-            key = step % 6
-            if step % 3 == 0:
-                cache.put(key, step)
-            elif step % 3 == 1:
-                cache.get(key)
-            else:
-                cache.get_or_compute(key, lambda: step)
-            clock.advance(3.7)
-            stats = cache.stats
-            assert stats.requests == stats.hits + stats.misses
-            assert stats.expirations + stats.evictions >= deaths_seen
-            deaths_seen = stats.expirations + stats.evictions
-
-    def test_default_clock_is_time_monotonic(self):
-        cache = ResultCache(capacity=2, ttl_seconds=30.0)
-        cache.put("key", "value")
-        assert cache.get("key") == "value"  # real clock: nowhere near the TTL
-        assert cache.stats.expirations == 0

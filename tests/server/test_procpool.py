@@ -31,7 +31,6 @@ from repro.errors import (
     PoolError,
     StaleEpochError,
 )
-from repro.geo.explorer import GeoExplorer
 from repro.server.api import MapRat
 from repro.server.procpool import ProcessMiningPool
 
@@ -130,23 +129,6 @@ class TestProcessBackendEquivalence:
             )
             == reference["geo"]
         )
-
-    def test_region_fanout_matches_serial(self, tiny_miner, mining_config):
-        explorer = GeoExplorer(tiny_miner)
-        serial = [
-            normalized(result.to_dict())
-            for result in explorer.explain_top_regions(limit=2)
-        ]
-        pool = ProcessMiningPool(workers=1)
-        try:
-            pool.publish(tiny_miner.store)
-            fanned = [
-                normalized(result.to_dict())
-                for result in explorer.explain_top_regions(limit=2, pool=pool)
-            ]
-        finally:
-            pool.shutdown()
-        assert fanned == serial
 
     def test_mining_error_types_cross_the_process_boundary(self, spawned_system):
         # WY has no ratings for this selection in the tiny dataset; the
