@@ -717,11 +717,6 @@ class LiveStore:
         """Epoch of the current snapshot."""
         return self._snapshot.epoch
 
-    @property
-    def pending(self) -> int:
-        """Buffered rows plus reviewer registrations awaiting compaction."""
-        return len(self.buffer) + self.buffer.pending_reviewers
-
     # -- write side ----------------------------------------------------------------
 
     def attach_journal(self, journal) -> None:

@@ -1024,7 +1024,7 @@ class MapRat:
         payload = {
             "status": status,
             "epoch": self.live.epoch,
-            "buffered": self.live.pending,
+            "buffered": len(self.live.buffer),
             "auto_compacted": False,
         }
         return self._maybe_auto_compact(payload)
@@ -1060,7 +1060,7 @@ class MapRat:
             "accepted": counts["accepted"],
             "duplicates": counts["duplicate"],
             "epoch": self.live.epoch,
-            "buffered": self.live.pending,
+            "buffered": len(self.live.buffer),
             "auto_compacted": False,
         }
         return self._maybe_auto_compact(payload)
@@ -1071,7 +1071,7 @@ class MapRat:
             payload["auto_compacted"] = compaction["compacted"]
             payload["compaction"] = compaction
             payload["epoch"] = compaction["epoch"]
-            payload["buffered"] = self.live.pending
+            payload["buffered"] = len(self.live.buffer)
         return payload
 
     def store_stats(self) -> dict:

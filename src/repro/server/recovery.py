@@ -262,7 +262,7 @@ class DurabilityController:
             self.write_snapshot(live.snapshot)
 
         report.recovered_epoch = live.epoch
-        report.pending_rows = live.pending
+        report.pending_rows = len(live.buffer)
         report.elapsed_seconds = time.perf_counter() - started
         self.report = report
         return live, report

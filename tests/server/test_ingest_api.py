@@ -197,6 +197,16 @@ class TestIngestEndpoints:
         assert reviewer.state == "CA"
         assert reviewer.city
 
+    def test_buffered_counts_rows_like_store_stats(self, api):
+        ingest = {"item_id": 1, "reviewer_id": 77002, "score": 4, **NEW_REVIEWER}
+        payload = api.dispatch("ingest", ingest)
+        stats = api.dispatch("store_stats", {})
+        assert payload["buffered"] == stats["buffered"] == 1
+        assert stats["buffered_reviewers"] == 1
+        entry = {"item_id": 2, "reviewer_id": 77003, "score": 3, "reviewer": NEW_REVIEWER}
+        batch = api.dispatch("ingest_batch", {"ratings": json.dumps([entry])})
+        assert batch["buffered"] == api.dispatch("store_stats", {})["buffered"] == 2
+
     def test_validation_errors_are_400s(self, api):
         for params in (
             {"item_id": "1", "reviewer_id": "1"},  # missing score

@@ -123,7 +123,7 @@ def run_stress(system, writers, readers, writes_per_writer, reads_per_reader,
     assert epochs_seen == sorted(epochs_seen)
     system.compact(rewarm=False)
     final_epoch = system.epoch
-    assert system.live.pending == 0
+    assert len(system.live.buffer) == system.live.buffer.pending_reviewers == 0
 
     # Zero stale-epoch reads: the cached post-ingest read reflects the newest
     # compacted snapshot bit-exactly (same count as an uncached recompute).

@@ -79,6 +79,11 @@ def assert_stores_identical(left, right):
         np.testing.assert_array_equal(positions, right._positions_by_item[item_id])
 
 
+def _pending(live):
+    """Buffered rows and pending reviewer registrations of a live store."""
+    return len(live.buffer), live.buffer.pending_reviewers
+
+
 def _build_store(dataset):
     return RatingMiner.build_store(dataset, MiningConfig())
 
@@ -98,7 +103,7 @@ class TestDurabilityController:
         controller = DurabilityController(tmp_path)
         live, report = controller.recover(tiny_dataset, _build_store)
         assert report.mode == "fresh" and report.recovered_epoch == 0
-        assert live.epoch == 0 and live.pending == 0
+        assert live.epoch == 0 and _pending(live) == (0, 0)
         controller.close()
 
     def test_crash_with_pending_rows(self, tmp_path, tiny_dataset):
@@ -114,7 +119,7 @@ class TestDurabilityController:
         recovered, report = recovered_ctl.recover(tiny_dataset, _build_store)
         assert report.records_replayed == len(ops)
         reference = _reference_live(tiny_dataset, ops)
-        assert recovered.pending == reference.pending
+        assert _pending(recovered) == _pending(reference)
         assert_stores_identical(recovered.snapshot, reference.snapshot)
         # The buffers converge too: compacting both yields identical epochs.
         recovered.compact()
@@ -139,7 +144,7 @@ class TestDurabilityController:
         recovered, report = recovered_ctl.recover(tiny_dataset, _build_store)
         assert report.mode == "snapshot" and report.snapshot_epoch == 1
         reference = _reference_live(tiny_dataset, ops, compact_at={4})
-        assert recovered.epoch == 1 and recovered.pending == reference.pending
+        assert recovered.epoch == 1 and _pending(recovered) == _pending(reference)
         assert_stores_identical(recovered.snapshot, reference.snapshot)
         recovered_ctl.close()
 
@@ -160,7 +165,7 @@ class TestDurabilityController:
         assert report.mode == "fresh"  # no snapshot existed, only logs
         assert report.compactions_replayed == 2
         reference = _reference_live(tiny_dataset, ops, compact_at={2, 5})
-        assert recovered.epoch == 2 and recovered.pending == reference.pending
+        assert recovered.epoch == 2 and _pending(recovered) == _pending(reference)
         assert_stores_identical(recovered.snapshot, reference.snapshot)
         recovered_ctl.close()
 
@@ -220,7 +225,7 @@ class TestMapRatDurability:
             system.compact()
             system.ingest(items[1], 900001, 3.0, timestamp=200)
             before = system.explain_items(items).to_dict()
-            epoch_before, pending_before = system.epoch, system.live.pending
+            epoch_before, pending_before = system.epoch, _pending(system.live)
 
         restarted = MapRat(tiny_dataset, durable_config)
         try:
@@ -228,7 +233,7 @@ class TestMapRatDurability:
             assert info["configured"] and info["recovery"]["mode"] == "snapshot"
             assert info["recovery"]["warm_anchors_replayed"] == 1
             assert restarted.epoch == epoch_before
-            assert restarted.live.pending == pending_before
+            assert _pending(restarted.live) == pending_before
             assert len(restarted.cache) == 1  # the anchor set pre-filled it
             after = restarted.explain_items(items).to_dict()
             assert _scrub(json.loads(json.dumps(before))) == _scrub(
@@ -250,7 +255,7 @@ class TestMapRatDurability:
 
         recovered = MapRat(tiny_dataset, durable_config)
         try:
-            assert recovered.live.pending == 2
+            assert _pending(recovered.live) == (2, 0)
             assert recovered.store_stats()["accepted_total"] == 2
         finally:
             recovered.close()
