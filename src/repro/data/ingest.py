@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import MAXYEAR, MINYEAR, datetime, timezone
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import IngestError, MapRatError, SchemaError
+from ..errors import GeoError, IngestError, MapRatError, SchemaError
+from ..geo.states import state_by_code
 from ..geo.zipcodes import ZipResolver
 from .model import Rating, RatingDataset, Reviewer
 from .schema import age_group_for
@@ -128,14 +129,17 @@ def rating_from_dict(payload: Mapping) -> Rating:
 
 
 def checked_reviewer(reviewer: Reviewer) -> Reviewer:
-    """Return ``reviewer`` if its age falls in an age band.
+    """Return ``reviewer`` if its age falls in an age band and its state is known.
 
     The request boundary's check of a new reviewer, shared by
     :func:`reviewer_from_dict` and :meth:`~repro.server.api.MapRat.ingest`
     (which also takes :class:`Reviewer` objects).  An age with no age band
     (below 1, or not a number) would be journaled and buffered, then fail
-    the next compaction and every recovery after it.  WAL replay does not
-    call it.  Raises :class:`IngestError`.
+    the next compaction and every recovery after it.  A non-blank ``state``
+    must be a USPS code and is returned upper-cased: the map has no tile for
+    any other value, and a lower-case code would split one state into two
+    regions.  A blank state is resolved from the zip code at registration.
+    WAL replay does not call it.  Raises :class:`IngestError`.
     """
     try:
         age_group_for(reviewer.age)
@@ -143,6 +147,16 @@ def checked_reviewer(reviewer: Reviewer) -> Reviewer:
         raise IngestError(str(exc)) from exc
     except TypeError as exc:
         raise IngestError(f"reviewer age must be a number, got {reviewer.age!r}") from exc
+    state = str(reviewer.state or "").strip()
+    if state:
+        try:
+            state = state_by_code(state).code
+        except GeoError as exc:
+            raise IngestError(
+                f"reviewer state {reviewer.state!r} is not a USPS state code"
+            ) from exc
+    if state != reviewer.state:
+        reviewer = replace(reviewer, state=state)
     return reviewer
 
 
@@ -152,7 +166,8 @@ def reviewer_from_dict(payload: Mapping, reviewer_id: Optional[int] = None) -> R
     Required keys: ``gender``, ``age``, ``occupation``, ``zipcode`` (plus
     ``reviewer_id`` unless supplied by the caller).  ``state``/``city`` are
     optional; blank values are resolved from the zip code at registration.
-    The age must fall in an age band (:func:`checked_reviewer`).
+    The age must fall in an age band and a non-blank state must be a USPS
+    code (:func:`checked_reviewer`).
     """
     if not isinstance(payload, Mapping):
         raise IngestError(f"reviewer entry must be an object, got {type(payload).__name__}")

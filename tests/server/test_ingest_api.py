@@ -342,6 +342,45 @@ class TestOutOfRangeIngest:
                 reference.compact()
                 assert_stores_identical(recovered.store, reference.store)
 
+    def test_a_state_must_be_a_usps_code(self, tiny_dataset, mining_config):
+        with MapRat.for_dataset(tiny_dataset, _config(mining_config)) as system:
+            api = JsonApi(system)
+
+            def regions():
+                summary = api.dispatch("geo_summary", {})["regions"]
+                return {region["region"]: region["size"] for region in summary}
+
+            before = regions()
+            for reviewer_id, state in ((88101, "ZZ"), (88102, "Texas")):
+                registration = {**NEW_REVIEWER, "state": state}
+                entry = {"item_id": 1, "reviewer_id": reviewer_id, "score": 4}
+                batch = json.dumps([{**entry, "reviewer": registration}])
+                for endpoint, params in (
+                    ("ingest", {**entry, **registration}),
+                    ("ingest_batch", {"ratings": batch}),
+                ):
+                    with pytest.raises(ServerError) as excinfo:
+                        api.dispatch(endpoint, params)
+                    assert excinfo.value.status == 400
+                    assert "USPS" in str(excinfo.value)
+                record = Reviewer(reviewer_id, "F", 25, "artist", "94105", state=state)
+                with pytest.raises(IngestError, match="not a USPS state code"):
+                    system.ingest(1, reviewer_id, 4.0, reviewer=record)
+            stats = system.store_stats()
+            assert stats["buffered"] == stats["buffered_reviewers"] == 0
+            assert stats["accepted_total"] == 0
+
+            lower_case = {**NEW_REVIEWER, "state": "ca"}
+            api.dispatch("ingest", {"item_id": 1, "reviewer_id": 88103, "score": 4, **lower_case})
+            record = Reviewer(88104, "F", 25, "artist", "94105", state="ca")
+            system.ingest(1, 88104, 4.0, reviewer=record)
+            system.compact()
+            assert system.dataset.reviewer(88103).state == "CA"
+            assert system.dataset.reviewer(88104).state == "CA"
+            after = regions()
+            assert set(after) == set(before)
+            assert after["CA"] == before["CA"] + 2
+
     @pytest.mark.parametrize("timestamp", TIMESTAMP_RANGE)
     def test_boundary_timestamps_compact_and_keep_the_timeline(
         self, tiny_dataset, mining_config, timestamp
