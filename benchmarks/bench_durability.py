@@ -1,7 +1,8 @@
 """Durability benchmark: WAL cost, snapshot recovery, warm-restart latency.
 
-Measures what persistence costs on the bench_ingest dataset shape and
-records three scenarios into ``BENCH_durability.json``:
+Measures what persistence costs on a synthetic 2,400-reviewer x 300-movie
+dataset (~135k ratings) and records three scenarios into
+``BENCH_durability.json``:
 
 * **wal_throughput** — single-rating ingest rows/second without a journal
   (the in-memory baseline) and write-ahead logged under each fsync policy
@@ -29,9 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -43,6 +41,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 import numpy as np
+from _record import environment
 
 from repro.config import MiningConfig, PipelineConfig, ServerConfig
 from repro.data.ingest import LiveStore
@@ -170,22 +169,6 @@ def bench_snapshot(dataset, store, delta_rows: int) -> dict:
     }
 
 
-def _git_sha():
-    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
-    root = Path(__file__).resolve().parent.parent
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() or None
-
-
 def bench_warm_restart(dataset) -> dict:
     config = PipelineConfig(
         mining=MINING_CONFIG,
@@ -278,13 +261,7 @@ def main(argv=None):
 
     report = {
         "benchmark": "durability",
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "git_sha": _git_sha(),
-        },
+        "environment": environment(),
         "dataset": {
             "reviewers": DATASET_CONFIG.num_reviewers,
             "movies": DATASET_CONFIG.num_movies,

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,7 +37,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import numpy
+from _record import environment
 
 from repro.config import MiningConfig
 from repro.core.cube import CandidateEnumerator
@@ -167,22 +164,6 @@ def bench_scale(scale, repeats):
     return record
 
 
-def _git_sha():
-    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
-    root = Path(__file__).resolve().parent.parent
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() or None
-
-
 def _divergent(report):
     """``scale.section`` names whose fast path differs from the naive one."""
     return [
@@ -213,13 +194,7 @@ def main(argv=None):
         "benchmark": "kernel",
         "workload": "bench_mri_scalability (synthetic MovieLens, most-rated-item slices)",
         "solver": SOLVER_KWARGS,
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "platform": platform.platform(),
-            "git_sha": _git_sha(),
-        },
+        "environment": environment(),
         "scales": {},
     }
     for name, scale in scales.items():
