@@ -1,4 +1,4 @@
-"""Import check: every benchmark script still loads against the package.
+"""Benchmark scripts still load, and their records name their host.
 
 The writer benchmarks (``bench_kernel.py``, ``bench_procs.py``, ...) run only
 by hand, and byte-compiling or a lint pass does not resolve imports, so a
@@ -6,11 +6,16 @@ benchmark importing a module that no longer exists would otherwise go
 unnoticed.  Importing runs none of them: the writer scripts sit behind
 ``__main__`` guards and the pytest-style benches only define fixtures and
 tests.
+
+A speed claim counts only with the machine and commit that measured it, so
+every checked-in ``BENCH_*.json`` record carries the CPU count and git sha
+of its run (``benchmarks/_record.py`` writes that block).
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -19,6 +24,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
 SCRIPTS = sorted(BENCHMARKS_DIR.glob("bench_*.py"))
+RECORDS = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 
 def test_benchmark_scripts_exist():
@@ -35,3 +41,10 @@ def test_benchmark_script_imports(script, monkeypatch):
     # Registered while executing: dataclasses resolve their module by name.
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[path.name for path in RECORDS])
+def test_benchmark_record_names_its_host_and_commit(record):
+    environment = json.loads(record.read_text(encoding="utf-8")).get("environment", {})
+    assert isinstance(environment.get("cpu_count"), int) and environment["cpu_count"] >= 1
+    assert environment.get("git_sha")
