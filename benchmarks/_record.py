@@ -19,7 +19,7 @@ import numpy
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def git_sha() -> Optional[str]:
+def _git_sha() -> Optional[str]:
     """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
     try:
         out = subprocess.run(
@@ -41,5 +41,5 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.platform(),
-        "git_sha": git_sha(),
+        "git_sha": _git_sha(),
     }

@@ -30,6 +30,7 @@ class TestBasicOperations:
         cache.put("key", 2)
         assert cache.get("key") == 2
         assert len(cache) == 1
+        assert cache.stats.evictions == 0
 
     def test_invalidate_and_clear(self):
         cache = ResultCache(capacity=4)
@@ -100,6 +101,8 @@ class TestStatsAndCompute:
         cache = ResultCache(capacity=4)
         cache.put("key", 1)
         _ = "key" in cache
+        assert "absent" not in cache
+        assert cache.get("absent", record_stats=False) is None
         assert cache.stats.requests == 0
 
 
