@@ -17,6 +17,7 @@ from repro.data.ingest import (
     AppendBuffer,
     LiveStore,
     checked_rating,
+    checked_reviewer,
     compact_snapshot,
     rating_from_dict,
     reviewer_from_dict,
@@ -114,6 +115,17 @@ class TestPayloadParsing:
             reviewer_id=9,
         )
         assert reviewer.reviewer_id == 9
+
+    def test_a_reviewer_state_is_a_trimmed_usps_code(self):
+        payload = {"gender": "F", "age": 25, "occupation": "artist", "zipcode": "94105"}
+        assert reviewer_from_dict({**payload, "state": " tx "}, reviewer_id=9).state == "TX"
+        # Blank (or all-space) states are left for the zip code to resolve.
+        assert reviewer_from_dict({**payload, "state": "  "}, reviewer_id=9).state == ""
+        assert reviewer_from_dict(payload, reviewer_id=9).state == ""
+        with pytest.raises(IngestError, match="USPS"):
+            reviewer_from_dict({**payload, "state": "Texas"}, reviewer_id=9)
+        valid = Reviewer(9, "F", 25, "artist", "94105", state="TX")
+        assert checked_reviewer(valid) is valid
 
 
 INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)

@@ -45,6 +45,21 @@ class TestBasicOperations:
         with pytest.raises(CacheError):
             ResultCache(capacity=0)
 
+    def test_invalidate_and_clear_keep_the_statistics(self):
+        # Explicit drops are not evictions, and clearing the entries keeps
+        # the counters the summary and /metrics report.
+        cache = ResultCache(capacity=4)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")
+        cache.get("absent")
+        cache.invalidate("a")
+        cache.clear()
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 0)
+        assert cache.get("b") is None
+        assert stats.misses == 2
+
 
 class TestLruEviction:
     def test_capacity_is_never_exceeded(self):
@@ -104,6 +119,60 @@ class TestStatsAndCompute:
         assert "absent" not in cache
         assert cache.get("absent", record_stats=False) is None
         assert cache.stats.requests == 0
+
+    def test_a_cached_none_is_a_hit(self):
+        # An entry is its value, so a cached None must stay distinct from an
+        # absent key: it is served, not recomputed.
+        cache = ResultCache(capacity=4)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return None
+
+        assert cache.get_or_compute("key", compute) is None
+        assert cache.get_or_compute("key", compute) is None
+        assert len(calls) == 1
+        assert cache.get("key", default="absent") is None
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+    def test_eviction_during_get_or_compute_keeps_the_invariant(self):
+        cache = ResultCache(capacity=2)
+        assert cache.get_or_compute("key", lambda: "v1") == "v1"
+        cache.put("other-1", 1)
+        cache.put("other-2", 2)     # evicts "key", the LRU entry
+        assert cache.get_or_compute("key", lambda: "v2") == "v2"
+        stats = cache.stats
+        assert stats.requests == stats.hits + stats.misses == 2
+        assert stats.misses == 2            # both calls computed
+        assert stats.evictions == 2         # "key", then "other-1" for its return
+        assert cache.keys() == ["other-2", "key"]
+
+    def test_invariant_sweep_over_interleaved_operations(self):
+        # Every lookup lands in exactly one of hits/misses, and with no
+        # explicit invalidate/clear every entry that left the cache was
+        # counted as an eviction: live entries + evictions == insertions.
+        cache = ResultCache(capacity=4)
+        rng = random.Random(9)
+        insertions = 0
+        for step in range(200):
+            key, operation = rng.randrange(6), rng.randrange(3)
+            absent = key not in cache.keys()  # keys() leaves the LRU order alone
+            if operation == 0:
+                cache.put(key, step)
+                insertions += absent
+            elif operation == 1:
+                cache.get(key)
+            else:
+                cache.get_or_compute(key, lambda: step)
+                insertions += absent
+            stats = cache.stats
+            assert stats.requests == stats.hits + stats.misses
+            assert len(cache) + stats.evictions == insertions
+            assert len(cache) <= cache.capacity
+        stats = cache.stats
+        assert stats.evictions > 0
+        assert stats.hits > 0 and stats.misses > 0
 
 
 class TestThreadSafety:

@@ -111,6 +111,25 @@ class TestAutoCompaction:
         assert second["epoch"] == 1 == system.epoch
         assert second["buffered"] == 0
 
+    def test_new_reviewer_ingests_answer_buffered_like_store_stats(
+        self, tiny_dataset, mining_config
+    ):
+        # A registration is not a pending row: the threshold and "buffered"
+        # count rows, before and after the ingest that compacts.
+        config = PipelineConfig(
+            mining=mining_config,
+            server=ServerConfig(auto_compact_threshold=2, mining_workers=0),
+        )
+        with MapRat.for_dataset(tiny_dataset, config) as system:
+            first = system.ingest(1, 77201, 4.0, timestamp=10, reviewer=NEW_REVIEWER)
+            stats = system.store_stats()
+            assert first["auto_compacted"] is False
+            assert first["buffered"] == stats["buffered"] == 1
+            assert stats["buffered_reviewers"] == 1
+            second = system.ingest(2, 77202, 4.0, timestamp=11, reviewer=NEW_REVIEWER)
+            assert second["auto_compacted"] is True
+            assert second["buffered"] == system.store_stats()["buffered"] == 0
+
     def test_batch_size_limit_is_enforced(self, tiny_dataset, mining_config):
         config = PipelineConfig(
             mining=mining_config, server=ServerConfig(ingest_batch_size=2)

@@ -111,6 +111,60 @@ class TestOnePoolTaskPerColdExplain:
             system.geo_explain(TOY_STORY, "CA")
             assert (system.pool.tasks_submitted, enumerations.calls) == (2, 2)
 
+    # Single flight is always on: clients asking for the same uncached
+    # result at once share one mining, whatever the server configuration.
+
+    def test_concurrent_cold_explains_are_one_task(
+        self, tiny_dataset, mining_config, enumerations, slow_pair
+    ):
+        with _system(tiny_dataset, mining_config, mining_workers=4) as system:
+            answers = _ask_together(lambda: system.explain(TOY_STORY))
+            assert (system.pool.tasks_submitted, enumerations.calls) == (1, 1)
+            assert all(a.similarity is answers[0].similarity for a in answers)
+            stats = system.cache.stats
+            assert (stats.misses, stats.hits) == (1, len(answers) - 1)
+
+    def test_concurrent_cold_geo_explains_are_one_task(
+        self, tiny_dataset, mining_config, enumerations, slow_pair
+    ):
+        with _system(tiny_dataset, mining_config, mining_workers=4) as system:
+            answers = _ask_together(lambda: system.geo_explain(TOY_STORY, "CA"))
+            assert (system.pool.tasks_submitted, enumerations.calls) == (1, 1)
+            assert all(a.diversity is answers[0].diversity for a in answers)
+            stats = system.cache.stats
+            assert (stats.misses, stats.hits) == (1, len(answers) - 1)
+
+
+@pytest.fixture()
+def slow_pair(monkeypatch):
+    """Stretches every SM + DM pair so concurrent clients overlap its flight."""
+    mine_pair = RatingMiner.mine_pair
+
+    def slow(self, rating_slice, config=None):
+        time.sleep(0.05)
+        return mine_pair(self, rating_slice, config)
+
+    monkeypatch.setattr(RatingMiner, "mine_pair", slow)
+
+
+def _ask_together(ask, clients=4):
+    """Run ``ask`` on ``clients`` threads released at once; returns the answers."""
+    start = threading.Barrier(clients)
+    answers = []
+
+    def client():
+        start.wait()
+        answers.append(ask())
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == clients
+    return answers
+
 
 class TestDeadlineBoundsThePair:
     DEADLINE_S = 0.2

@@ -137,6 +137,42 @@ class TestProcessBackendEquivalence:
         with pytest.raises(EmptyRatingSetError):
             spawned_system.geo_explain('title:"Toy Story"', "WY")
 
+    def test_region_warm_up_matches_serial(
+        self, spawned_system, tiny_dataset, mining_config
+    ):
+        # warmup?regions=N mines each top region's anchor on the workers;
+        # the entries it leaves serve the serial path's payloads.
+        report = spawned_system.warm_up(limit=0, regions=2)
+        assert report["regions_precomputed"] == 2
+        anchors = spawned_system.precomputer.top_region_anchors(2)
+        misses = spawned_system.cache.stats.misses
+        warmed = [
+            normalized(spawned_system.geo_explain_items([item_id], region).to_dict())
+            for region, item_id, _title in anchors
+        ]
+        assert spawned_system.cache.stats.misses == misses
+        serial = build_system(tiny_dataset, mining_config, "thread", 0)
+        try:
+            assert warmed == [
+                normalized(serial.geo_explain_items([item_id], region).to_dict())
+                for region, item_id, _title in anchors
+            ]
+        finally:
+            serial.close()
+
+    def test_an_unknown_spec_kind_fails_in_the_worker(
+        self, spawned_system, mining_config
+    ):
+        pool = spawned_system.pool
+        spec = ("explain_region", spawned_system.epoch, None, None, "CA", mining_config)
+        with pytest.raises(PoolError, match="unknown mining spec kind"):
+            pool.gather(pool.submit(spec))
+        # The worker survives its task's error and keeps mining.
+        assert (
+            normalized(spawned_system.explain('title:"Toy Story"', use_cache=False).to_dict())
+            == normalized(spawned_system.explain('title:"Toy Story"').to_dict())
+        )
+
 
 class TestEpochLifecycle:
     """Publish-before-swap, drain-then-retire, stale-epoch handling."""

@@ -260,6 +260,43 @@ class TestMapRatDurability:
         finally:
             recovered.close()
 
+    def test_recovery_counts_pending_rows_not_registrations(
+        self, tiny_dataset, durable_config
+    ):
+        item = next(iter(tiny_dataset.items())).item_id
+        with MapRat(tiny_dataset, durable_config) as system:
+            system.ingest(
+                item, 900101, 4.0, timestamp=100,
+                reviewer={"gender": "F", "age": 30, "occupation": "artist",
+                          "zipcode": "94110"},
+            )
+            system.ingest(item, 1, 3.0, timestamp=101)
+
+        with MapRat(tiny_dataset, durable_config) as restarted:
+            report = restarted.recovery_info()["recovery"]
+            stats = restarted.store_stats()
+            assert report["records_replayed"] == 2
+            assert report["pending_rows"] == stats["buffered"] == 2
+            assert stats["buffered_reviewers"] == 1
+
+    def test_replay_keeps_a_state_the_request_check_rejects(
+        self, tiny_dataset, durable_config
+    ):
+        # Requests must name a USPS state code, but WAL replay does not
+        # re-check what it journaled: a log written before that check
+        # recovers as written instead of failing the restart.
+        item = next(iter(tiny_dataset.items())).item_id
+        legacy = Reviewer(900201, "F", 30, "artist", "94110", state="ZZ")
+        with MapRat(tiny_dataset, durable_config) as system:
+            # LiveStore.ingest journals below the request boundary's check.
+            system.live.ingest(Rating(item, 900201, 4.0, timestamp=100), legacy)
+
+        with MapRat(tiny_dataset, durable_config) as recovered:
+            assert recovered.recovery_info()["recovery"]["records_replayed"] == 1
+            assert _pending(recovered.live) == (1, 1)
+            recovered.compact()
+            assert recovered.dataset.reviewer(900201).state == "ZZ"
+
     def test_snapshot_endpoint_writes_file(self, tiny_dataset, durable_config):
         with MapRat(tiny_dataset, durable_config) as system:
             api = JsonApi(system)

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
+import re
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +52,19 @@ def test_benchmark_record_names_its_host_and_commit(record):
     environment = json.loads(record.read_text(encoding="utf-8")).get("environment", {})
     assert isinstance(environment.get("cpu_count"), int) and environment["cpu_count"] >= 1
     assert environment.get("git_sha")
+
+
+def test_environment_block_describes_this_run():
+    spec = importlib.util.spec_from_file_location(
+        "_record_check", BENCHMARKS_DIR / "_record.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    environment = module.environment()
+    assert environment["cpu_count"] == os.cpu_count()
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == numpy.__version__
+    assert environment["platform"] == platform.platform()
+    # None only outside a git checkout (an exported source tree).
+    sha = environment["git_sha"]
+    assert sha is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", sha)
